@@ -2,6 +2,11 @@
 //  (a) SYNC STAR vs STAR vs STAR w/ hybrid replication, TPC-C.
 //  (b) throughput degradation with disk logging + checkpointing.
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+
 #include "bench/bench_common.h"
 
 using namespace star;
@@ -69,9 +74,12 @@ int main() {
     StarOptions o = DefaultStar(0.1);
     o.durable_logging = durable;
     o.checkpointing = durable;
-    o.log_dir = "/tmp/star_bench_logs";
+    // Only throughput is reported, so the run's WAL and checkpoints go to a
+    // per-process directory that is deleted afterwards.
+    o.log_dir = "/tmp/star_bench_logs/run_" + std::to_string(::getpid());
     StarEngine e(o, wl);
     Metrics m = Measure(e);
+    if (durable) std::filesystem::remove_all(o.log_dir);
     std::printf("%-24s %12.0f txns/sec\n", name, m.Tps());
     return m.Tps();
   };

@@ -1,5 +1,6 @@
 #include "baselines/cluster_engine.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -320,6 +321,26 @@ Metrics ClusterEngine::Stop() {
       if (t.joinable()) t.join();
     }
     node->reader_threads.clear();
+  }
+  // The workers flushed their replication streams on exit, but those
+  // batches may still sit in the transport: stopping the io threads now
+  // would strand them, and a backup would diverge from its primary.  Wait
+  // until every replica has applied what was sent to it, bounded by the
+  // RPC timeout because a batch the transport lost is never applied.
+  auto replication_drained = [this] {
+    for (const auto& dst : nodes_) {
+      for (const auto& src : nodes_) {
+        if (src != dst && dst->counters->applied_from(src->id) <
+                              src->counters->sent_to(dst->id)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  uint64_t deadline = NowNanos() + MillisToNanos(options_.rpc_timeout_ms);
+  while (!replication_drained() && NowNanos() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   epoch_mgr_.StopTimer();
   for (auto& node : nodes_) {

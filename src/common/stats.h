@@ -78,11 +78,12 @@ struct Metrics {
   uint64_t replica_read_lag_epochs = 0;
   /// Durability (wal/logger.h).  durable_epoch is the cluster durable epoch
   /// E_d — every transaction with epoch <= E_d is fsynced on every healthy
-  /// node; the byte/fsync/batch counters aggregate the logger fleet; the
-  /// checkpoint counters aggregate the incremental checkpointers; and
-  /// rejoin_fetch_bytes is what a rejoining node streamed from donors
-  /// (O(delta) with a recovered base, O(table) without).  All zero when
-  /// durable logging is off.
+  /// node; the byte/fsync/batch counters aggregate the logger fleet; and
+  /// the checkpoint counters aggregate the incremental checkpointers.  All
+  /// zero when durable logging is off.  rejoin_fetch_bytes is what a
+  /// rejoining node streamed from donors (O(delta) with a recovered base,
+  /// O(table) without); rejoin_full_bytes is what full snapshots of the
+  /// same tables would have streamed at the same moment.
   uint64_t durable_epoch = 0;
   uint64_t wal_bytes = 0;
   uint64_t wal_fsyncs = 0;
@@ -92,6 +93,7 @@ struct Metrics {
   uint64_t checkpoint_entries = 0;
   uint64_t checkpoint_bytes = 0;
   uint64_t rejoin_fetch_bytes = 0;
+  uint64_t rejoin_full_bytes = 0;
   Histogram latency;
 
   double Tps() const { return seconds > 0 ? committed / seconds : 0.0; }

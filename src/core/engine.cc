@@ -312,20 +312,31 @@ StarEngine::StarEngine(const StarOptions& options, const Workload& workload)
     // including tombstones — whose TID epoch moved past `since_epoch`.  A
     // rejoining node that recovered locally through epoch R asks for
     // (R, now] instead of the whole table; bytes shipped scale with the
-    // delta, not the data size.
+    // delta, not the data size.  The frame opens with the byte size a
+    // kSnapshotResponse for the same table and partition would carry right
+    // now (key, tid, length and value per present record), so the
+    // rejoining node can report its fetch against the full-snapshot cost
+    // measured in the same run.
     node->endpoint->RegisterHandler(
         net::MsgType::kDeltaRequest, [n](net::Message&& m) {
           ReadBuffer in(m.payload);
           int32_t t = in.Read<int32_t>();
           int32_t p = in.Read<int32_t>();
           uint64_t since = in.Read<uint64_t>();
+          constexpr uint64_t kSnapshotRecordHeader =
+              2 * sizeof(uint64_t) + sizeof(uint32_t);
+          uint64_t full_bytes = 0;
           WriteBuffer out;
+          out.Write<uint64_t>(0);  // full_bytes, patched below
           HashTable* ht = n->db->table(t, p);
           if (ht != nullptr) {
             std::string scratch(ht->value_size(), '\0');
             ht->ForEach([&](uint64_t key, Record* rec, char* value) {
               uint64_t w =
                   rec->ReadStable(scratch.data(), scratch.size(), value);
+              if (!Record::IsAbsent(w)) {
+                full_bytes += kSnapshotRecordHeader + scratch.size();
+              }
               uint64_t tid = Record::TidOf(w);
               if (tid == 0 || Tid::Epoch(tid) <= since) return;
               bool deleted = Record::IsAbsent(w);
@@ -335,6 +346,7 @@ StarEngine::StarEngine(const StarOptions& options, const Workload& workload)
               if (!deleted) out.WriteBytes(scratch.data(), scratch.size());
             });
           }
+          out.Patch<uint64_t>(0, full_bytes);
           n->endpoint->Respond(m, net::MsgType::kDeltaResponse,
                                out.Release());
         });
@@ -1254,7 +1266,10 @@ void StarEngine::ControlLoop(Node& node) {
         node.phase_word.store(PackPhase(Phase::kFence, ++seq),
                               std::memory_order_release);
         int want = static_cast<int>(node.workers.size());
-        while (node.parked.load(std::memory_order_acquire) < want) {
+        // Stop() joins the workers before this thread: a fence stop still
+        // being handled after they exited must not wait for them forever.
+        while (node.parked.load(std::memory_order_acquire) < want &&
+               node.control_running.load(std::memory_order_acquire)) {
           std::this_thread::sleep_for(std::chrono::microseconds(20));
         }
         uint64_t committed = 0;
@@ -1478,8 +1493,11 @@ void StarEngine::ControlLoop(Node& node) {
             HashTable* ht = node.db->table(t, p);
             ReadBuffer in(resp);
             if (since > 0) {
-              // Delta frame: key, tid, deleted flag, value when present
-              // (tombstones ship without a payload).
+              // Delta frame: the donor's full-snapshot byte count, then
+              // key, tid, deleted flag, value when present (tombstones
+              // ship without a payload).
+              node.rejoin_full_bytes.fetch_add(in.Read<uint64_t>(),
+                                               std::memory_order_relaxed);
               while (!in.Done()) {
                 uint64_t key = in.Read<uint64_t>();
                 uint64_t tid = in.Read<uint64_t>();
@@ -1497,6 +1515,8 @@ void StarEngine::ControlLoop(Node& node) {
                 }
               }
             } else {
+              node.rejoin_full_bytes.fetch_add(resp.size(),
+                                               std::memory_order_relaxed);
               while (!in.Done()) {
                 uint64_t key = in.Read<uint64_t>();
                 uint64_t tid = in.Read<uint64_t>();
@@ -2282,6 +2302,8 @@ Metrics StarEngine::Snapshot() const {
     }
     m.rejoin_fetch_bytes +=
         node->rejoin_bytes.load(std::memory_order_relaxed);
+    m.rejoin_full_bytes +=
+        node->rejoin_full_bytes.load(std::memory_order_relaxed);
   }
   m.durable_epoch = durable_epoch();
   m.seconds = (NowNanos() - measure_start_ns_) / 1e9;

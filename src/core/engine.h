@@ -308,6 +308,9 @@ class StarEngine {
     uint64_t recovered_epoch = 0;
     /// Payload bytes fetched by this node's rejoin fetch (delta or full).
     std::atomic<uint64_t> rejoin_bytes{0};
+    /// What the same fetch would have cost as full snapshots: donor-counted
+    /// on the delta path, equal to rejoin_bytes on the snapshot path.
+    std::atomic<uint64_t> rejoin_full_bytes{0};
     std::vector<std::unique_ptr<WorkerState>> workers;
     std::vector<std::thread> worker_threads;
     std::thread control_thread;

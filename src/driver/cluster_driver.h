@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -127,18 +128,40 @@ inline int RunNodeProcess(const StarOptions& base, const std::string& workload,
                served ? "clean shutdown" : "TIMEOUT waiting for shutdown");
   if (rejoining) {
     // O(delta) rejoin check: with a recovered base the refetch must stream
-    // far less than the full tables.  STAR_REJOIN_MAX_BYTES (set by the
-    // delta-rejoin ctest) turns the printed number into a hard gate.
-    std::fprintf(stderr, "[node %d] rejoin_fetch_bytes=%llu\n", id,
-                 static_cast<unsigned long long>(m.rejoin_fetch_bytes));
-    const char* cap = std::getenv("STAR_REJOIN_MAX_BYTES");
-    if (cap != nullptr && m.rejoin_fetch_bytes >
-                              std::strtoull(cap, nullptr, 10)) {
-      std::fprintf(stderr,
-                   "[node %d] rejoin fetch exceeded cap %s — delta path "
-                   "regressed to a full-table stream\n",
-                   id, cap);
-      return 4;
+    // less than full snapshots of the same tables, taken by the donors at
+    // the same moment (the snapshot path reads exactly 1.00).  A byte cap
+    // would gate on host speed: a correct delta grows with the churn since
+    // the recovered epoch.  STAR_REJOIN_MAX_RATIO (set by the delta-rejoin
+    // ctest) turns the printed ratio into a hard gate; a rejoin that
+    // fetched nothing fails it rather than passing vacuously.
+    double ratio = m.rejoin_full_bytes == 0
+                       ? 0.0
+                       : static_cast<double>(m.rejoin_fetch_bytes) /
+                             static_cast<double>(m.rejoin_full_bytes);
+    std::fprintf(stderr,
+                 "[node %d] rejoin_fetch_bytes=%llu rejoin_full_bytes=%llu "
+                 "ratio=%.3f\n",
+                 id, static_cast<unsigned long long>(m.rejoin_fetch_bytes),
+                 static_cast<unsigned long long>(m.rejoin_full_bytes), ratio);
+    const char* bound_env = std::getenv("STAR_REJOIN_MAX_RATIO");
+    if (bound_env != nullptr) {
+      double bound = std::strtod(bound_env, nullptr);
+      if (m.rejoin_full_bytes == 0) {
+        std::fprintf(stderr,
+                     "[node %d] no rejoin fetch ran (0 full-snapshot bytes "
+                     "reported); the ratio gate cannot judge it\n",
+                     id);
+        return 4;
+      }
+      if (ratio > bound) {
+        std::fprintf(stderr,
+                     "[node %d] fetched %llu of %llu full-snapshot bytes "
+                     "(ratio %.3f > %g)\n",
+                     id, static_cast<unsigned long long>(m.rejoin_fetch_bytes),
+                     static_cast<unsigned long long>(m.rejoin_full_bytes),
+                     ratio, bound);
+        return 4;
+      }
     }
   }
   return served ? 0 : 2;
@@ -156,7 +179,9 @@ inline int RunCoordinatorProcess(const StarOptions& base,
       std::chrono::milliseconds(static_cast<int64_t>(seconds * 1000)));
   engine.Stop();
   const StarEngine::ClusterSummary& s = engine.cluster_summary();
-  if (verbose) {
+  bool ok = s.valid && s.nodes_reporting > 0 && s.committed > 0 &&
+            s.cross_partition > 0 && s.converged;
+  if (verbose || !ok) {  // a failing verdict always says why
     std::printf(
         "[coordinator] nodes_reporting=%d committed=%llu cross=%llu "
         "converged=%s epoch=%llu\n",
@@ -166,8 +191,6 @@ inline int RunCoordinatorProcess(const StarOptions& base,
         static_cast<unsigned long long>(engine.epoch()));
     std::fflush(stdout);
   }
-  bool ok = s.valid && s.nodes_reporting > 0 && s.committed > 0 &&
-            s.cross_partition > 0 && s.converged;
   return ok ? 0 : 1;
 }
 
@@ -254,10 +277,22 @@ inline int LaunchCluster(ClusterRunSpec spec) {
     int node_rc = WIFEXITED(status) ? WEXITSTATUS(status) : 100;
     if (node_rc != 0 && rc == 0) rc = 10 + node_rc;
   }
-  if (spec.verbose) {
+  if (spec.verbose || rc != 0) {
     std::printf("[launch] coordinator rc=%d overall rc=%d%s\n", coord_rc, rc,
                 killed ? " (survived one killed node)" : "");
     std::fflush(stdout);
+  }
+  if (spec.base.durable_logging) {
+    // Every child is reaped, so nothing writes here any more.  A passing
+    // launch deletes its WAL and checkpoints (hundreds of MB per run); a
+    // failing one keeps them for the post-mortem.
+    if (rc == 0) {
+      std::error_code ec;
+      std::filesystem::remove_all(spec.base.log_dir, ec);
+    } else {
+      std::fprintf(stderr, "[launch] kept durable logs in %s\n",
+                   spec.base.log_dir.c_str());
+    }
   }
   return rc;
 }

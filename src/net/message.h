@@ -55,7 +55,8 @@ enum class MsgType : uint16_t {
   kRejoinRequest = 94,     // restarted node process -> coordinator (RPC)
   kDeltaRequest = 95,      // rejoining node -> donor: {table, partition,
                            //   since_epoch} — records changed after since
-  kDeltaResponse = 96,     // donor -> rejoining node: delta record dump
+  kDeltaResponse = 96,     // donor -> rejoining node: full-snapshot byte
+                           //   count, then the delta record dump
 
   // --- tests/examples ---
   kPing = 100,

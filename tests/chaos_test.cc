@@ -62,10 +62,11 @@ void RunSimSeeds(uint64_t base_seed, uint64_t count) {
 void RunTcpSeeds(uint64_t base_seed, uint64_t count) {
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t seed = base_seed + i;
-    int rc = RunTcpChaosEpisode(seed, ConfigForSeed(seed));
+    std::string diag;
+    int rc = RunTcpChaosEpisode(seed, ConfigForSeed(seed), &diag);
     ASSERT_EQ(rc, 0) << "tcp chaos seed " << seed << " failed (rc " << rc
-                     << "; schedule above); replay: STAR_CHAOS_BASE_SEED="
-                     << seed
+                     << "; schedule above):\n"
+                     << diag << "replay: STAR_CHAOS_BASE_SEED=" << seed
                      << " STAR_CHAOS_TCP_SEEDS=1 ./chaos_test "
                         "--gtest_filter='Chaos.TcpSoak'";
   }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -526,6 +527,19 @@ inline StarOptions ChaosOptions(uint64_t seed, const ChaosConfig& cfg,
   return o;
 }
 
+/// A passing durable episode deletes its WAL directory: a TCP soak writes
+/// hundreds of MB per durable seed and would otherwise fill the disk.  A
+/// failing episode keeps it for the post-mortem and names it in `diag`.
+inline void DisposeEpisodeLogs(int rc, const std::string& dir,
+                               std::string* diag) {
+  if (rc == 0) {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  } else if (diag != nullptr) {
+    *diag += "durable logs kept in " + dir + "\n";
+  }
+}
+
 inline YcsbOptions ChaosYcsb() {
   YcsbOptions o;
   o.rows_per_partition = 2000;
@@ -583,6 +597,7 @@ inline int RunSimChaosEpisode(uint64_t seed, const ChaosConfig& cfg,
     rc = 10;
     if (diag) *diag += "oracle never got a single ack\n";
   }
+  if (cfg.durable) DisposeEpisodeLogs(rc, o.log_dir, diag);
   return rc;
 }
 
@@ -673,8 +688,10 @@ inline int ChaosNodeBody(const StarOptions& base, int id, double seconds,
 
 /// Forks a coordinator plus one process per node, all sharing one seeded
 /// fault schedule anchored to a common CLOCK_MONOTONIC origin stamped
-/// before the forks.  Returns 0 iff every process upheld every invariant.
-inline int RunTcpChaosEpisode(uint64_t seed, const ChaosConfig& cfg) {
+/// before the forks.  Returns 0 iff every process upheld every invariant;
+/// on failure prints the schedule and appends diagnostics to `diag`.
+inline int RunTcpChaosEpisode(uint64_t seed, const ChaosConfig& cfg,
+                              std::string* diag) {
   // The window starts after the startup barrier + population typically
   // finish on the 1-vCPU host, so faults land on a running cluster.
   const double window_start = 2'000;
@@ -709,6 +726,7 @@ inline int RunTcpChaosEpisode(uint64_t seed, const ChaosConfig& cfg) {
     if (node_rc != 0 && rc == 0) rc = 10 + node_rc;
   }
   if (rc != 0) PrintSchedule(seed, base.fault.episodes, stderr);
+  if (cfg.durable) DisposeEpisodeLogs(rc, base.log_dir, diag);
   return rc;
 }
 
