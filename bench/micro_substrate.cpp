@@ -6,12 +6,16 @@
 // touch the allocator in steady state" is a measured property, not an
 // asserted one.  Results are mirrored to BENCH_micro_substrate.json.
 
+#include <algorithm>
 #include <atomic>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "cc/operation.h"
@@ -325,6 +329,151 @@ void BenchSubstrate() {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Table growth: insert and Get cost as an order_line-shaped table fills
+// ---------------------------------------------------------------------------
+
+/// TPC-C order_line's shape at the default scale: 64-byte values, two
+/// versions, sized for 8 x 10 districts x 600 customers rows.
+constexpr uint32_t kGrowthValueSize = 64;
+constexpr uint64_t kGrowthSizedRows = 48'000;
+/// Fill levels, in multiples of the sized rows.
+constexpr uint64_t kGrowthFills[] = {1, 8, 32};
+constexpr uint64_t kGrowthTop = 32;
+
+/// Row i as order_line keys arrive: ten lines per order, orders dealt
+/// round-robin over ten districts (TpccWorkload::OrderLineKey's packing).
+uint64_t GrowthKey(uint64_t i) {
+  uint64_t district = (i / 10) % 10;
+  uint64_t order = i / 100;
+  return (((district << 40) | order) << 4) | (i % 10);
+}
+
+struct GrowthCost {
+  double insert_ns = 0;
+  double get_ns = 0;
+};
+
+/// Fills a table sized for `sized` rows up to each of `fills` (in rows).
+/// An insert costs the mean over the second half of the rows before the
+/// level: a window of constant relative width, which at 8x and 32x spans a
+/// doubling and the cells linked after it.  Gets draw from a fixed-size
+/// random sample of the keys present, so every level looks up the same
+/// number of distinct records and what grows with the fill is the walk to a
+/// record, not the working set the caches must hold.
+std::vector<GrowthCost> FillAndMeasure(uint64_t sized, bool ordered,
+                                       const std::vector<uint64_t>& fills) {
+  HashTable ht(kGrowthValueSize, sized, /*two_version=*/true, ordered);
+  const uint64_t sample_size = std::min<uint64_t>(sized, 16'384);
+  const uint64_t gets = 1'000'000;
+  std::vector<uint64_t> sample(sample_size);
+  std::vector<GrowthCost> out;
+  Rng rng(17);
+  uint64_t rows = 0;
+  for (uint64_t target : fills) {
+    for (; rows < target / 2; ++rows) ht.GetOrInsert(GrowthKey(rows));
+    GrowthCost c;
+    uint64_t t0 = NowNanos();
+    const uint64_t from = rows;
+    for (; rows < target; ++rows) ht.GetOrInsert(GrowthKey(rows));
+    c.insert_ns = static_cast<double>(NowNanos() - t0) / (rows - from);
+    for (uint64_t& k : sample) k = GrowthKey(rng.Uniform(rows));
+    t0 = NowNanos();
+    for (uint64_t i = 0; i < gets; ++i) {
+      benchmark_do_not_optimize(ht.Get(sample[rng.Uniform(sample_size)]));
+    }
+    c.get_ns = static_cast<double>(NowNanos() - t0) / gets;
+    out.push_back(c);
+  }
+  return out;
+}
+
+/// Best of `reps` runs per level: the cost without the host's interference.
+std::vector<GrowthCost> BestOf(int reps, uint64_t sized, bool ordered,
+                               const std::vector<uint64_t>& fills) {
+  std::vector<GrowthCost> best;
+  for (int r = 0; r < reps; ++r) {
+    std::vector<GrowthCost> run = FillAndMeasure(sized, ordered, fills);
+    if (best.empty()) {
+      best = run;
+      continue;
+    }
+    for (size_t i = 0; i < run.size(); ++i) {
+      best[i].insert_ns = std::min(best[i].insert_ns, run[i].insert_ns);
+      best[i].get_ns = std::min(best[i].get_ns, run[i].get_ns);
+    }
+  }
+  return best;
+}
+
+void GrowthRow(const char* variant, const char* level, uint64_t fill,
+               uint64_t rows, const GrowthCost& c) {
+  std::printf("growth_%-9s %-8s %8" PRIu64 " rows  insert %7.1f ns/op  "
+              "get %6.1f ns/op\n",
+              variant, level, rows, c.insert_ns, c.get_ns);
+  JsonLog::Instance().Row({{"bench", std::string("table_growth_") + variant},
+                           {"level", level},
+                           {"fill", std::to_string(fill)},
+                           {"rows", std::to_string(rows)},
+                           {"insert_ns_per_op", JsonLog::Format(c.insert_ns)},
+                           {"get_ns_per_op", JsonLog::Format(c.get_ns)}});
+}
+
+/// Growth rows plus the gate.  A table sized for R rows is filled to 1x,
+/// 8x and 32x R; the reference is a table sized for 32x R from the start,
+/// filled to the same 32x R in the same run.  The gate holds insert and Get
+/// of the grown table at 32x within 1.5x of the reference's: growing must
+/// cost what sizing right would have.  The reference, and not the same
+/// table at 1x, because a 1x table sits in L2 and a 32x one does not, so
+/// even a right-sized table reads several times its 1x cost (the 32x/1x
+/// ratios are printed too).  A chained table that never grows reads ~6x
+/// (insert) and ~19x (Get) against the reference.  Below full scale the
+/// levels are too small to tell apart, so the gate reads not evaluable.
+void BenchGrowth() {
+  constexpr double kGateRatio = 1.5;
+  constexpr int kReps = 3;
+  const double scale = bench::Scale();
+  const bool evaluable = scale >= 1.0;
+  const uint64_t sized = std::max<uint64_t>(
+      1'000, static_cast<uint64_t>(kGrowthSizedRows * std::min(scale, 1.0)));
+  std::vector<uint64_t> fills;
+  for (uint64_t f : kGrowthFills) fills.push_back(sized * f);
+  for (bool ordered : {false, true}) {
+    const char* variant = ordered ? "ordered" : "hash_only";
+    std::vector<GrowthCost> grown = BestOf(kReps, sized, ordered, fills);
+    GrowthCost ref = BestOf(kReps, sized * kGrowthTop, ordered,
+                            {sized * kGrowthTop})
+                         .back();
+    for (size_t i = 0; i < grown.size(); ++i) {
+      char level[16];
+      std::snprintf(level, sizeof(level), "%" PRIu64 "x", kGrowthFills[i]);
+      GrowthRow(variant, level, kGrowthFills[i], fills[i], grown[i]);
+    }
+    GrowthRow(variant, "sized32x", kGrowthTop, sized * kGrowthTop, ref);
+    const GrowthCost& top = grown.back();
+    double insert_ratio = top.insert_ns / ref.insert_ns;
+    double get_ratio = top.get_ns / ref.get_ns;
+    bool pass = insert_ratio <= kGateRatio && get_ratio <= kGateRatio;
+    const char* verdict = !evaluable ? "NOT EVALUABLE (reduced scale)"
+                                     : (pass ? "PASS" : "FAIL");
+    std::printf("growth_%-9s gate 32x vs sized32x: insert %.2fx get %.2fx "
+                "(<= %.1fx)  %s   [32x/1x: insert %.2fx get %.2fx]\n",
+                variant, insert_ratio, get_ratio, kGateRatio, verdict,
+                top.insert_ns / grown.front().insert_ns,
+                top.get_ns / grown.front().get_ns);
+    JsonLog::Instance().Row(
+        {{"bench", std::string("table_growth_gate_") + variant},
+         {"insert_ratio", JsonLog::Format(insert_ratio)},
+         {"get_ratio", JsonLog::Format(get_ratio)},
+         {"insert_ratio_32x_1x",
+          JsonLog::Format(top.insert_ns / grown.front().insert_ns)},
+         {"get_ratio_32x_1x", JsonLog::Format(top.get_ns / grown.front().get_ns)},
+         {"bound", JsonLog::Format(kGateRatio)},
+         {"gate_evaluable", evaluable ? "true" : "false"},
+         {"gate_pass", evaluable && pass ? "true" : "false"}});
+  }
+}
+
 }  // namespace
 }  // namespace star
 
@@ -335,6 +484,7 @@ int main() {
       "committed transaction (steady state).");
 
   star::BenchSubstrate();
+  star::BenchGrowth();
 
   uint64_t txns = static_cast<uint64_t>(200'000 * star::bench::Scale());
   star::Report("partitioned_hot_path", star::BenchPartitionedPhase(txns));

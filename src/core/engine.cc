@@ -657,6 +657,7 @@ void StarEngine::Start() {
     }
   }
 
+  workers_exit_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   state_.store(SystemState::kRunning, std::memory_order_release);
 
@@ -1008,9 +1009,7 @@ void StarEngine::HandleFailures(const std::vector<int>& newly_failed) {
     if (nodes_[f] != nullptr) {
       Node& n = *nodes_[f];
       n.fenced.store(true, std::memory_order_release);
-      uint64_t word = n.phase_word.load(std::memory_order_acquire);
-      n.phase_word.store(PackPhase(Phase::kStopped, SeqOf(word) + 1),
-                         std::memory_order_release);
+      AdvancePhase(n, Phase::kStopped);
     }
   }
   // Healthy nodes' workers are provably parked (they answered the fence
@@ -1193,7 +1192,6 @@ void StarEngine::PerformRejoin(int j, uint64_t nonce) {
 // ---------------------------------------------------------------------------
 
 void StarEngine::ControlLoop(Node& node) {
-  uint64_t seq = 0;
   // Gray-partition self-defence: every mailbox message is coordinator-
   // originated, so prolonged mailbox silence on a running cluster means
   // this node cannot hear the coordinator — it may be running on a stale
@@ -1232,11 +1230,7 @@ void StarEngine::ControlLoop(Node& node) {
           !node.fenced.load(std::memory_order_acquire) &&
           running_.load(std::memory_order_acquire)) {
         self_parked = true;
-        uint64_t word = node.phase_word.load(std::memory_order_acquire);
-        if (PhaseOf(word) != Phase::kStopped) {
-          node.phase_word.store(PackPhase(Phase::kStopped, SeqOf(word) + 1),
-                                std::memory_order_release);
-        }
+        AdvancePhase(node, Phase::kStopped, /*unless_stopped=*/true);
         PauseReaders(node);
         if (std::getenv("STAR_DEBUG_FAILURES") != nullptr) {
           std::fprintf(stderr,
@@ -1263,8 +1257,7 @@ void StarEngine::ControlLoop(Node& node) {
         if (!admitted_.load(std::memory_order_acquire)) break;
         // Enter the fence: park workers, then report statistics.
         node.parked.store(0, std::memory_order_release);
-        node.phase_word.store(PackPhase(Phase::kFence, ++seq),
-                              std::memory_order_release);
+        AdvancePhase(node, Phase::kFence);
         int want = static_cast<int>(node.workers.size());
         // Stop() joins the workers before this thread: a fence stop still
         // being handled after they exited must not wait for them forever.
@@ -1386,8 +1379,7 @@ void StarEngine::ControlLoop(Node& node) {
         }
         node.epoch.store(epoch, std::memory_order_release);
         node.parked.store(0, std::memory_order_release);
-        node.phase_word.store(PackPhase(phase, ++seq),
-                              std::memory_order_release);
+        AdvancePhase(node, phase);
         node.endpoint->Respond(msg, net::MsgType::kPhaseStart, "");
         break;
       }
@@ -1587,7 +1579,7 @@ void StarEngine::WorkerLoop(Node& node, int worker_index) {
         node.parked.fetch_add(1, std::memory_order_acq_rel);
       }
       if (phase == Phase::kStopped &&
-          !running_.load(std::memory_order_acquire)) {
+          workers_exit_.load(std::memory_order_acquire)) {
         w.tracker.DrainAll(NowNanos(), w.stats.latency);
         return;
       }
@@ -2128,9 +2120,25 @@ void StarEngine::InjectFailure(int node) {
   if (nodes_[node] != nullptr) {
     Node& n = *nodes_[node];
     n.fenced.store(true, std::memory_order_release);
-    uint64_t word = n.phase_word.load(std::memory_order_acquire);
-    n.phase_word.store(PackPhase(Phase::kStopped, SeqOf(word) + 1),
-                       std::memory_order_release);
+    AdvancePhase(n, Phase::kStopped);
+  }
+}
+
+void StarEngine::SelfParkNode(int node) {
+  if (nodes_[node] != nullptr) {
+    AdvancePhase(*nodes_[node], Phase::kStopped, /*unless_stopped=*/true);
+  }
+}
+
+void StarEngine::AdvancePhase(Node& node, Phase phase, bool unless_stopped) {
+  uint64_t word = node.phase_word.load(std::memory_order_acquire);
+  for (;;) {
+    if (unless_stopped && PhaseOf(word) == Phase::kStopped) return;
+    if (node.phase_word.compare_exchange_weak(
+            word, PackPhase(phase, SeqOf(word) + 1),
+            std::memory_order_acq_rel, std::memory_order_acquire)) {
+      return;
+    }
   }
 }
 
@@ -2335,15 +2343,13 @@ Metrics StarEngine::Stop() {
     CollectClusterSummary();
   }
 
+  // No fence can follow from here: let parked workers exit.
+  workers_exit_.store(true, std::memory_order_release);
   for (auto& node : nodes_) {
     if (node == nullptr) continue;
     // The coordinator only messages healthy nodes; make sure every worker
     // (including those on failed nodes) observes the stop.
-    uint64_t word = node->phase_word.load(std::memory_order_acquire);
-    if (PhaseOf(word) != Phase::kStopped) {
-      node->phase_word.store(PackPhase(Phase::kStopped, SeqOf(word) + 1),
-                             std::memory_order_release);
-    }
+    AdvancePhase(*node, Phase::kStopped, /*unless_stopped=*/true);
     for (auto& t : node->worker_threads) {
       if (t.joinable()) t.join();
     }

@@ -90,6 +90,11 @@ class StarEngine {
   /// (Case 1's "copies data from remote nodes"), then regains mastership.
   void RequestRejoin(int node);
 
+  /// Parks a hosted node's workers the way a self-park on coordinator
+  /// silence does (kStopped); the node's next phase start or fence resumes
+  /// it.  Exposed so tests can drive the phase-word protocol directly.
+  void SelfParkNode(int node);
+
   // --- multi-process deployment ---
 
   /// Node-process side of rejoin: RPCs kRejoinRequest to the coordinator
@@ -357,6 +362,14 @@ class StarEngine {
   }
   static uint64_t SeqOf(uint64_t word) { return word & ((1ull << 56) - 1); }
 
+  /// The one way to store `node`'s phase word: moves it to `phase` with the
+  /// word's own sequence number + 1 (CAS), so every store — a fence, a phase
+  /// start, a failure injection, a self-park, Stop() — hands the workers a
+  /// sequence number they have not parked on yet.  With `unless_stopped` a
+  /// word already in kStopped is left as it is.
+  static void AdvancePhase(Node& node, Phase phase,
+                           bool unless_stopped = false);
+
   // Thread bodies.
   void WorkerLoop(Node& node, int worker_index);
   void ReaderLoop(Node& node, int reader_index);
@@ -509,6 +522,10 @@ class StarEngine {
 
   std::thread coordinator_thread_;
   std::atomic<bool> running_{false};
+  /// Set by Stop() once no fence can follow: only then do workers parked in
+  /// kStopped exit.  (A worker that exited on !running_ alone could leave a
+  /// fence already in flight waiting for it until the fence timeout.)
+  std::atomic<bool> workers_exit_{false};
   std::atomic<uint64_t> epoch_{1};
   /// Coordinator-side cluster durable epoch: min over healthy nodes'
   /// fence-reported durable watermarks, clamped to the last committed

@@ -1,6 +1,8 @@
 #ifndef STAR_STORAGE_HASH_TABLE_H_
 #define STAR_STORAGE_HASH_TABLE_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -20,25 +22,28 @@
 
 namespace star {
 
-/// A heap block for table-sized structures (bucket arrays, node arenas).
+/// A heap block for table-sized structures (bucket segments, node arenas).
 /// A DRAM-resident table on 4 KB pages spends a large share of every lookup
 /// in TLB walks — and software prefetches that miss the dTLB can be dropped,
 /// which would gut the replay pipeline's prefetched apply loop.  Blocks of
 /// >= 2 MB therefore try, in order:
 ///   1. explicit 2 MB pages (MAP_HUGETLB; needs a provisioned
 ///      /proc/sys/vm/nr_hugepages pool — bench harnesses reserve one),
-///   2. a 2 MB-aligned heap block advised onto transparent huge pages,
-///   3. the plain heap.
+///   2. for `zeroed` blocks, an anonymous mapping advised onto transparent
+///      huge pages (the kernel zero-fills each page on first touch, so a
+///      grown table pays for the pages it uses when it uses them),
+///   3. a 2 MB-aligned heap block advised onto transparent huge pages,
+///   4. the plain heap.
 /// Small blocks stay on the regular heap (hundreds of small test tables
 /// must not round up to 2 MB each).
 struct TableBlock {
-  enum class Kind : uint8_t { kHeap, kAligned, kHugeTlb };
+  enum class Kind : uint8_t { kHeap, kAligned, kMapped };
 
   char* p = nullptr;
   size_t bytes = 0;
   Kind kind = Kind::kHeap;
 
-  static TableBlock Allocate(size_t bytes) {
+  static TableBlock Allocate(size_t bytes, bool zeroed = false) {
     constexpr size_t kHuge = size_t{2} << 20;
     TableBlock b;
     if (bytes >= kHuge) {
@@ -46,10 +51,15 @@ struct TableBlock {
 #if defined(__linux__)
       void* m = mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
+      if (m == MAP_FAILED && zeroed) {
+        m = mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (m != MAP_FAILED) madvise(m, rounded, MADV_HUGEPAGE);
+      }
       if (m != MAP_FAILED) {
         b.p = static_cast<char*>(m);
         b.bytes = rounded;
-        b.kind = Kind::kHugeTlb;
+        b.kind = Kind::kMapped;
         return b;
       }
 #endif
@@ -60,11 +70,12 @@ struct TableBlock {
 #if defined(__linux__)
         madvise(b.p, rounded, MADV_HUGEPAGE);
 #endif
+        if (zeroed) std::memset(b.p, 0, rounded);
         return b;
       }
       // Fall through to the plain heap on aligned_alloc failure.
     }
-    b.p = new char[bytes];
+    b.p = zeroed ? new char[bytes]() : new char[bytes];
     b.bytes = bytes;
     b.kind = Kind::kHeap;
     return b;
@@ -79,7 +90,7 @@ struct TableBlock {
       case Kind::kAligned:
         std::free(p);
         break;
-      case Kind::kHugeTlb:
+      case Kind::kMapped:
 #if defined(__linux__)
         munmap(p, bytes);
 #endif
@@ -90,31 +101,66 @@ struct TableBlock {
 };
 
 /// Mixes a 64-bit key (finalizer of SplitMix64); good avalanche for the
-/// dense integer keys our workloads use.
+/// dense integer keys our workloads use.  A bijection (xor-shifts and odd
+/// multipliers are invertible): distinct keys never share a hash.
 inline uint64_t HashKey(uint64_t k) {
   k = (k ^ (k >> 30)) * 0xBF58476D1CE4E5B9ull;
   k = (k ^ (k >> 27)) * 0x94D049BB133111EBull;
   return k ^ (k >> 31);
 }
 
-/// Chaining hash table with per-bucket spinlocks and arena-allocated nodes,
-/// the primary-index structure of Section 3 ("Tables in STAR are implemented
-/// as collections of hash tables").
+/// Reverses the bit order of a 64-bit word.
+inline uint64_t ReverseBits(uint64_t x) {
+  x = ((x >> 1) & 0x5555555555555555ull) | ((x & 0x5555555555555555ull) << 1);
+  x = ((x >> 2) & 0x3333333333333333ull) | ((x & 0x3333333333333333ull) << 2);
+  x = ((x >> 4) & 0x0F0F0F0F0F0F0F0Full) | ((x & 0x0F0F0F0F0F0F0F0Full) << 4);
+  return __builtin_bswap64(x);
+}
+
+/// Split-ordered hash table (Shalev & Shavit, "Split-ordered lists:
+/// lock-free extensible hash tables", JACM 2006) with per-bucket latches and
+/// arena-allocated nodes, the primary-index structure of Section 3 ("Tables
+/// in STAR are implemented as collections of hash tables").
+///
+/// Layout: every node of the table sits on one singly linked list, sorted
+/// by its split key, the bit-reversed HashKey.  A bucket is a 16-byte cell
+/// on the same list, sorted at its bit-reversed index, so the nodes of
+/// bucket b (hash mod bucket count == b) are the run behind b's cell.
+/// Doubling the bucket count splits each bucket b into b and b + old count,
+/// whose nodes already lie in two runs behind b's cell: the new bucket only
+/// needs its cell spliced in between.  Cells live in a directory of doubling
+/// segments.  Segment 0 holds the buckets sized at construction, all on the
+/// list from the start; segment s >= 1 holds buckets [2^(k+s-1), 2^(k+s)).
 ///
 /// Properties the engines rely on:
 ///  * Record pointers are stable for the table's lifetime (nodes are never
-///    moved or freed), so transactions can stash `Record*` in read/write
-///    sets and replication can target records directly.
-///  * Lookups of existing keys only take the bucket latch on the miss path
-///    of an insert; Get is latch-free (bucket chains are immutable except
-///    for head insertion, done with release stores).
+///    moved, relinked or freed), so transactions can stash `Record*` in
+///    read/write sets and replication can target records directly.
+///  * Lookups (Get and the pipelined PrefetchBucket/LoadHead/FindFrom) take
+///    no latch and allocate nothing.  The list only ever gains elements,
+///    each published by a release store once fully initialised, and nothing
+///    is ever unlinked, so no grace period or reclamation is needed.
+///  * Writers latch the cell in front of the spot they splice at: each link
+///    word in the run behind a cell is written only under that cell's
+///    latch.  An insert walks from its bucket's cell and moves on to the
+///    next cell's latch when a cell was split off in front of its spot, so
+///    it holds one latch at a time.
+///  * Past load factor 1 the table adds the next segment, in O(1): its pages
+///    are zero-filled on first touch, and a zero cell is an unlinked one.
+///    Until a bucket's cell is linked, lookups start at its parent (the
+///    index without its top bit), whose run covers the bucket's.  A cell is
+///    spliced in by its bucket's first insert, or earlier by inserts that
+///    link the new segment in index order, two cells per insert (amortised
+///    in batches), so it is fully linked halfway to the next doubling.
+///  * ForEach walks the single list, so it visits every node that existed
+///    when it started exactly once, even while the table grows.
 ///  * Values are fixed-size byte arrays (`value_size`), with an optional
 ///    trailing backup slot of the same size for epoch revert (two-version
 ///    records, Section 4.5.2).
 class HashTable {
  public:
-  /// `expected_rows` sizes the bucket array (no resizing; chains absorb
-  /// growth).  `two_version` reserves the backup slot in every node.
+  /// `expected_rows` sizes the first segment of buckets; the table grows
+  /// past it online.  `two_version` reserves the backup slot in every node.
   /// `ordered` additionally maintains an OrderedIndex over the primary keys,
   /// kept in sync with the hash table by every insert path (bulk load,
   /// transactional insert materialisation, replication apply, snapshot
@@ -128,12 +174,30 @@ class HashTable {
                      15) &
                     ~size_t{15}) {
     size_t want = expected_rows + expected_rows / 2 + 16;
-    size_t cap = 16;
-    while (cap < want) cap <<= 1;
-    bucket_block_ = TableBlock::Allocate(cap * sizeof(Bucket));
-    buckets_ = reinterpret_cast<Bucket*>(bucket_block_.p);
-    for (size_t i = 0; i < cap; ++i) new (&buckets_[i]) Bucket();
-    mask_ = cap - 1;
+    int bits = kMinBucketBits;
+    while ((size_t{1} << bits) < want && bits < kMaxBucketBits) ++bits;
+    base_bits_ = bits;
+    const size_t cap = size_t{1} << bits;
+    // Unpublished object; the guard exists for the analysis.
+    SpinLockGuard g(grow_mu_);
+    blocks_[0] = TableBlock::Allocate(cap * sizeof(Cell));
+    Cell* cells = reinterpret_cast<Cell*>(blocks_[0].p);
+    for (size_t i = 0; i < cap; ++i) new (&cells[i]) Cell();
+    // Link every cell of segment 0 in split order, writing the cells in
+    // index order: bucket b sits at list position j = `bits`-bit-reverse(b)
+    // and links to the bucket at position j + 1.
+    for (size_t b = 0; b < cap; ++b) {
+      size_t j = ReverseBits(b) >> (64 - bits);
+      Cell& c = cells[b];
+      c.split = SplitHigh(b);
+      c.linked.store(true, std::memory_order_relaxed);
+      if (j + 1 < cap) {
+        c.next.store(LinkTo(&cells[ReverseBits(j + 1) >> (64 - bits)]),
+                     std::memory_order_relaxed);
+      }
+    }
+    segments_[0].store(cells, std::memory_order_release);
+    mask_.store(cap - 1, std::memory_order_release);
     if (ordered) index_ = std::make_unique<OrderedIndex>();
   }
 
@@ -141,9 +205,12 @@ class HashTable {
   HashTable& operator=(const HashTable&) = delete;
 
   ~HashTable() {
-    // Buckets are trivially destructible (atomics only); just release the
-    // blocks.  The guard is for the analysis: no thread can race a dtor.
-    bucket_block_.Free();
+    // Cells are trivially destructible (atomics only); just release the
+    // blocks.  The guards are for the analysis: no thread can race a dtor.
+    {
+      SpinLockGuard g(grow_mu_);
+      for (TableBlock& block : blocks_) block.Free();
+    }
     SpinLockGuard g(arena_mu_);
     for (TableBlock& chunk : chunks_) chunk.Free();
   }
@@ -151,49 +218,40 @@ class HashTable {
   /// Returns the record for `key`, or nullptr if the key has never been
   /// inserted.  A present node whose Record is marked absent is returned:
   /// absence is a visibility property, existence a storage property.
-  Record* Get(uint64_t key) const {
-    const Bucket& b = buckets_[HashKey(key) & mask_];
-    for (NodeHeader* n = b.head.load(std::memory_order_acquire); n != nullptr;
-         n = n->next) {
-      if (n->key == key) return RecordOf(n);
-    }
-    return nullptr;
+  STAR_HOT_PATH Record* Get(uint64_t key) const {
+    size_t mask = 0;
+    Cell* c = BucketCell(HashKey(key), &mask);
+    NodeHeader* n = Walk(c->next.load(std::memory_order_acquire), key, mask);
+    return n != nullptr ? RecordOf(n) : nullptr;
   }
 
   /// Returns the record for `key`, creating an absent-marked record if the
   /// key is new.  `*inserted` reports whether a node was created.
   Record* GetOrInsert(uint64_t key, bool* inserted = nullptr) {
-    Bucket& b = buckets_[HashKey(key) & mask_];
+    uint64_t hash = HashKey(key);
     // Fast path: already present.
-    for (NodeHeader* n = b.head.load(std::memory_order_acquire); n != nullptr;
-         n = n->next) {
-      if (n->key == key) {
-        if (inserted != nullptr) *inserted = false;
-        return RecordOf(n);
+    size_t mask = 0;
+    Cell* c = BucketCell(hash, &mask);
+    NodeHeader* n = Walk(c->next.load(std::memory_order_acquire), key, mask);
+    bool created = false;
+    Record* rec = nullptr;
+    if (n != nullptr) {
+      rec = RecordOf(n);
+    } else {
+      mask = mask_.load(std::memory_order_acquire);
+      rec = Insert(LinkBucket(hash & mask), key, ReverseBits(hash), mask,
+                   &created);
+    }
+    if (inserted != nullptr) *inserted = created;
+    if (created) {
+      size_t rows = size_.fetch_add(1, std::memory_order_relaxed) + 1;
+      size_t mask = mask_.load(std::memory_order_acquire);
+      if (rows > mask + 1) {
+        Grow();
+      } else if (rows % kSplitEvery == 0) {
+        SplitAhead(mask);
       }
     }
-    SpinLockGuard g(b.mu);
-    // Re-check under the latch: another thread may have inserted.
-    for (NodeHeader* n = b.head.load(std::memory_order_relaxed); n != nullptr;
-         n = n->next) {
-      if (n->key == key) {
-        if (inserted != nullptr) *inserted = false;
-        return RecordOf(n);
-      }
-    }
-    NodeHeader* n = AllocateNode();
-    n->key = key;
-    n->next = b.head.load(std::memory_order_relaxed);
-    Record* rec = RecordOf(n);
-    rec->Init(/*absent=*/true);
-    std::memset(ValueOf(n), 0, value_size_);
-    // Index before publishing in the bucket: the record is still absent, so
-    // the ordering is unobservable, but this way a key reachable by Get is
-    // always reachable by Scan.
-    if (index_ != nullptr) index_->Insert(key, rec);
-    b.head.store(n, std::memory_order_release);
-    size_.fetch_add(1, std::memory_order_relaxed);
-    if (inserted != nullptr) *inserted = true;
     return rec;
   }
 
@@ -220,7 +278,7 @@ class HashTable {
   };
 
   /// Row lookup; Row.rec == nullptr when the key was never inserted.
-  Row GetRow(uint64_t key) const {
+  STAR_HOT_PATH Row GetRow(uint64_t key) const {
     Record* rec = Get(key);
     if (rec == nullptr) return Row{};
     return Row{rec, const_cast<HashTable*>(this)->ValueOfRecord(rec),
@@ -242,70 +300,131 @@ class HashTable {
   // prefetched, so the misses of neighbouring entries overlap.
 
   /// Stage 1: prefetch the bucket cell for `key`.
-  void PrefetchBucket(uint64_t key) const {
-    __builtin_prefetch(&buckets_[HashKey(key) & mask_], 0, 1);
+  STAR_HOT_PATH void PrefetchBucket(uint64_t key) const {
+    __builtin_prefetch(
+        CellAt(HashKey(key) & mask_.load(std::memory_order_acquire)), 0, 1);
   }
 
-  /// Stage 2: load the bucket head (cell line should be resident by now)
-  /// and prefetch the first node.  The returned cursor is opaque; nullptr
-  /// means the bucket is empty.
-  const void* LoadHead(uint64_t key) const {
-    NodeHeader* n =
-        buckets_[HashKey(key) & mask_].head.load(std::memory_order_acquire);
-    if (n != nullptr) __builtin_prefetch(n, 0, 1);
-    return n;
-  }
-
-  /// Stage 3: walk the chain from a LoadHead cursor.  Row.rec == nullptr
-  /// when the key is not present (the caller falls back to GetOrInsertRow).
-  Row FindFrom(const void* head, uint64_t key) const {
-    for (const NodeHeader* n = static_cast<const NodeHeader*>(head);
-         n != nullptr; n = n->next) {
-      if (n->key == key) {
-        Record* rec = RecordOf(const_cast<NodeHeader*>(n));
-        return Row{rec, const_cast<HashTable*>(this)->ValueOfRecord(rec),
-                   value_size_};
-      }
+  /// Stage 2: load the link behind the bucket's cell (the cell line should
+  /// be resident by now) and prefetch the element it points to.  The
+  /// returned cursor is opaque; nullptr means the list ends there.
+  STAR_HOT_PATH const void* LoadHead(uint64_t key) const {
+    size_t mask = 0;
+    uintptr_t link =
+        BucketCell(HashKey(key), &mask)->next.load(std::memory_order_acquire);
+    if (link != 0) {
+      __builtin_prefetch(reinterpret_cast<const void*>(link & ~kCellTag), 0,
+                         1);
     }
-    return Row{};
+    return reinterpret_cast<const void*>(link);
   }
 
-  /// Iterates every node: fn(key, record, value_bytes).  Takes each bucket
-  /// latch; safe against concurrent inserts (used by the checkpointer and
-  /// by epoch revert).
+  /// Stage 3: walk on from a LoadHead cursor.  Row.rec == nullptr when the
+  /// key is not present (the caller falls back to GetOrInsertRow).  A cursor
+  /// taken before the table grew still finds every key that was present
+  /// when it was taken: the list behind it only gains elements.
+  STAR_HOT_PATH Row FindFrom(const void* cursor, uint64_t key) const {
+    NodeHeader* n =
+        Walk(reinterpret_cast<uintptr_t>(cursor), key, /*exact_mask=*/0);
+    if (n == nullptr) return Row{};
+    Record* rec = RecordOf(n);
+    return Row{rec, const_cast<HashTable*>(this)->ValueOfRecord(rec),
+               value_size_};
+  }
+
+  /// Iterates every node in split order: fn(key, record, value_bytes).
+  /// Takes no latch; safe against concurrent inserts and growth (used by
+  /// the checkpointer, the snapshot and delta donors, checksums and epoch
+  /// revert).  Visits every node present when the walk started exactly
+  /// once; nodes inserted meanwhile may or may not be visited.
   void ForEach(
       const std::function<void(uint64_t, Record*, char*)>& fn) {
-    for (size_t i = 0; i <= mask_; ++i) {
-      Bucket& b = buckets_[i];
-      SpinLockGuard g(b.mu);
-      for (NodeHeader* n = b.head.load(std::memory_order_relaxed);
-           n != nullptr; n = n->next) {
-        fn(n->key, RecordOf(n), ValueOf(n));
+    uintptr_t link =
+        segments_[0].load(std::memory_order_acquire)->next.load(
+            std::memory_order_acquire);
+    while (link != 0) {
+      if (IsCell(link)) {
+        link = CellOf(link)->next.load(std::memory_order_acquire);
+        continue;
       }
+      NodeHeader* n = NodeOf(link);
+      fn(n->key, RecordOf(n), ValueOf(n));
+      link = n->next.load(std::memory_order_acquire);
     }
   }
 
   uint32_t value_size() const { return value_size_; }
   bool two_version() const { return two_version_; }
   size_t size() const { return size_.load(std::memory_order_relaxed); }
+  /// Current bucket count (a power of two; doubles as the table grows).
+  size_t bucket_count() const {
+    return mask_.load(std::memory_order_acquire) + 1;
+  }
 
   /// The ordered primary-key index, or nullptr for hash-only tables.
   OrderedIndex* index() const { return index_.get(); }
 
  private:
+  // Every element of the list starts with its link word: the address of
+  // the next element, with bit 0 set when that element is a cell.  Nodes
+  // and cells are 16-byte aligned, so bit 0 is free.
+  static constexpr uintptr_t kCellTag = 1;
+
   struct NodeHeader {
-    NodeHeader* next;
-    uint64_t key;
+    std::atomic<uintptr_t> next{0};
+    uint64_t key = 0;
     // followed by: Record (16 bytes), value bytes, optional backup bytes
   };
 
-  /// `head` is deliberately NOT guarded by `mu`: lookups are latch-free by
-  /// design (chains are immutable except head insertion, published with a
-  /// release store under the latch).  The latch serialises *writers* only.
-  struct Bucket {
+  /// A bucket: a sentinel element of the list.  All-zero bytes are a valid
+  /// unlinked cell, which is how grown segments start out.  `next` is
+  /// deliberately NOT guarded by `mu`: lookups are latch-free by design.
+  /// The latch serialises the writers of the run behind the cell.
+  struct Cell {
+    std::atomic<uintptr_t> next{0};
     SpinLock mu;
-    std::atomic<NodeHeader*> head{nullptr};
+    std::atomic<bool> linked{false};
+    /// High half of the cell's split key (the low half is zero: bucket
+    /// indexes fit in 32 bits).  Written before the cell is linked.
+    uint32_t split = 0;
   };
+
+  static_assert(sizeof(NodeHeader) == 16, "node headers stay 16 bytes");
+  static_assert(sizeof(Cell) == 16, "bucket cells stay 16 bytes");
+
+  /// Every kSplitEvery-th insert links a batch of kSplitBatch cells: two
+  /// per insert, so the newest segment is fully linked halfway to the next
+  /// doubling.
+  static constexpr size_t kSplitEvery = 8;
+  static constexpr size_t kSplitBatch = 16;
+  static constexpr int kMinBucketBits = 4;
+  static constexpr int kMaxBucketBits = 32;
+  static constexpr int kMaxSegments = kMaxBucketBits - kMinBucketBits + 1;
+
+  static bool IsCell(uintptr_t link) { return (link & kCellTag) != 0; }
+  static Cell* CellOf(uintptr_t link) {
+    return reinterpret_cast<Cell*>(link & ~kCellTag);
+  }
+  static NodeHeader* NodeOf(uintptr_t link) {
+    return reinterpret_cast<NodeHeader*>(link);
+  }
+  static uintptr_t LinkTo(Cell* c) {
+    return reinterpret_cast<uintptr_t>(c) | kCellTag;
+  }
+  static uintptr_t LinkTo(NodeHeader* n) {
+    return reinterpret_cast<uintptr_t>(n);
+  }
+  static uint64_t SplitKeyOf(const NodeHeader* n) {
+    return ReverseBits(HashKey(n->key));
+  }
+  static uint64_t SplitKeyOf(const Cell* c) { return uint64_t{c->split} << 32; }
+  static uint32_t SplitHigh(size_t bucket) {
+    return static_cast<uint32_t>(ReverseBits(bucket) >> 32);
+  }
+  /// The bucket a bucket was split from: its index without the top bit.
+  static size_t Parent(size_t bucket) {
+    return bucket & ~(size_t{1} << (63 - __builtin_clzll(bucket)));
+  }
 
   static Record* RecordOf(NodeHeader* n) {
     return reinterpret_cast<Record*>(reinterpret_cast<char*>(n) +
@@ -315,8 +434,213 @@ class HashTable {
     return reinterpret_cast<char*>(n) + sizeof(NodeHeader) + sizeof(Record);
   }
 
-  /// Bump allocator; called with the bucket latch held, guarded by its own
-  /// latch because different buckets share the arena.  Chunks grow from
+  /// The cell of bucket `b` (which must be below the bucket count).
+  STAR_HOT_PATH Cell* CellAt(size_t b) const {
+    if ((b >> base_bits_) == 0) {
+      return segments_[0].load(std::memory_order_acquire) + b;
+    }
+    int top = 63 - __builtin_clzll(b);
+    return segments_[top - base_bits_ + 1].load(std::memory_order_acquire) +
+           (b - (size_t{1} << top));
+  }
+
+  /// Bucket resolution: the cell of `hash`'s bucket, or of its nearest
+  /// linked ancestor while the bucket's own cell is not on the list yet.
+  /// Segment 0 is linked from the start, so the climb ends there at worst.
+  /// `*exact_mask` receives the mask the bucket was resolved under when the
+  /// cell is the bucket's own, else 0.
+  STAR_HOT_PATH Cell* BucketCell(uint64_t hash, size_t* exact_mask) const {
+    size_t mask = mask_.load(std::memory_order_acquire);
+    size_t b = hash & mask;
+    Cell* c = CellAt(b);
+    *exact_mask = mask;
+    while (!c->linked.load(std::memory_order_acquire)) {
+      *exact_mask = 0;
+      b = Parent(b);
+      c = CellAt(b);
+    }
+    return c;
+  }
+
+  /// Walks the list from `link` to `key`'s node; nullptr once the walk
+  /// passes the key's split key.  Cells on the way either were split off in
+  /// front of that spot (walk on) or end the walk; see CellEndsRun for
+  /// `exact_mask`.
+  STAR_HOT_PATH NodeHeader* Walk(uintptr_t link, uint64_t key,
+                                 size_t exact_mask) const {
+    // Most lookups hit the first node: the split key is only needed past it.
+    if (link != 0 && !IsCell(link) && NodeOf(link)->key == key) {
+      return NodeOf(link);
+    }
+    const uint64_t split = ReverseBits(HashKey(key));
+    while (link != 0) {
+      if (IsCell(link)) {
+        if (CellEndsRun(exact_mask)) return nullptr;
+        const Cell* c = CellOf(link);
+        if (SplitKeyOf(c) > split) return nullptr;
+        link = c->next.load(std::memory_order_acquire);
+        continue;
+      }
+      NodeHeader* n = NodeOf(link);
+      if (n->key == key) return n;
+      if (SplitKeyOf(n) > split) return nullptr;
+      link = n->next.load(std::memory_order_acquire);
+    }
+    return nullptr;
+  }
+
+  /// True when a walk that started at its key's own bucket cell under
+  /// `exact_mask` may stop at the next cell without reading its line: while
+  /// the mask is unchanged, a cell in front of the key's spot would be a
+  /// bucket split off the start bucket, and linking one needs a larger mask
+  /// first.  (The walk read the link to the cell with acquire, so a mask
+  /// grown before that cell was linked is visible here.)
+  STAR_HOT_PATH bool CellEndsRun(size_t exact_mask) const {
+    return exact_mask != 0 &&
+           mask_.load(std::memory_order_acquire) == exact_mask;
+  }
+
+  /// Under `at`'s latch, finds the spot for an element with split key
+  /// `split` in the run behind `at`: `*pred` is the link word to write and
+  /// `*link` its value, the first element at or past `split` (a node equal
+  /// to it holds the same key, since HashKey is a bijection).  Cells sort in
+  /// front of nodes with the same split key.  Returns the cell to continue
+  /// from instead when a cell was split off in front of the spot: that
+  /// cell's latch owns it.  `exact_mask` as for Walk.
+  Cell* Seek(Cell* at, uint64_t split, bool for_node, size_t exact_mask,
+             std::atomic<uintptr_t>** pred, uintptr_t* link) const
+      STAR_REQUIRES(at->mu) {
+    *pred = &at->next;
+    uintptr_t l = (*pred)->load(std::memory_order_relaxed);
+    while (l != 0) {
+      if (IsCell(l)) {
+        if (CellEndsRun(exact_mask)) break;
+        Cell* c = CellOf(l);
+        uint64_t key = SplitKeyOf(c);
+        if (key < split || (for_node && key == split)) return c;
+        break;
+      }
+      NodeHeader* n = NodeOf(l);
+      if (SplitKeyOf(n) >= split) break;
+      *pred = &n->next;
+      l = (*pred)->load(std::memory_order_relaxed);
+    }
+    *link = l;
+    return nullptr;
+  }
+
+  /// Inserts `key`'s node unless present, from the linked cell `at` in
+  /// front of its spot (its own bucket's cell under `exact_mask`).
+  Record* Insert(Cell* at, uint64_t key, uint64_t split, size_t exact_mask,
+                 bool* created) {
+    for (;;) {
+      Cell* ahead = nullptr;
+      {
+        SpinLockGuard g(at->mu);
+        std::atomic<uintptr_t>* pred = nullptr;
+        uintptr_t link = 0;
+        ahead = Seek(at, split, /*for_node=*/true, exact_mask, &pred, &link);
+        if (ahead == nullptr) {
+          if (link != 0 && !IsCell(link) && NodeOf(link)->key == key) {
+            return RecordOf(NodeOf(link));  // another thread won the race
+          }
+          NodeHeader* n = AllocateNode();
+          n->key = key;
+          n->next.store(link, std::memory_order_relaxed);
+          Record* rec = RecordOf(n);
+          rec->Init(/*absent=*/true);
+          std::memset(ValueOf(n), 0, value_size_);
+          // Index before publishing on the list: the record is still
+          // absent, so the ordering is unobservable, but this way a key
+          // reachable by Get is always reachable by Scan.
+          if (index_ != nullptr) index_->Insert(key, rec);
+          pred->store(LinkTo(n), std::memory_order_release);
+          *created = true;
+          return rec;
+        }
+      }
+      at = ahead;
+      exact_mask = 0;
+    }
+  }
+
+  /// Returns bucket `b`'s cell, first splicing it (and any unlinked
+  /// ancestors) onto the list, under the latch of the cell in front of it:
+  /// its parent, or a bucket split off the parent closer to it.
+  Cell* LinkBucket(size_t b) {
+    Cell* c = CellAt(b);
+    if (c->linked.load(std::memory_order_acquire)) return c;
+    Cell* at = LinkBucket(Parent(b));
+    const uint32_t high = SplitHigh(b);
+    const uint64_t split = uint64_t{high} << 32;
+    // A bucket of the newest segment is its parent's first split: under an
+    // unchanged mask, any cell past the parent's nodes is `c` or beyond it.
+    const size_t mask = mask_.load(std::memory_order_acquire);
+    size_t exact_mask = b > (mask >> 1) ? mask : 0;
+    for (;;) {
+      Cell* ahead = nullptr;
+      {
+        SpinLockGuard g(at->mu);
+        std::atomic<uintptr_t>* pred = nullptr;
+        uintptr_t link = 0;
+        ahead = Seek(at, split, /*for_node=*/false, exact_mask, &pred, &link);
+        if (ahead == nullptr) {
+          if (link != LinkTo(c)) {  // else another thread linked it
+            c->split = high;
+            c->next.store(link, std::memory_order_relaxed);
+            pred->store(LinkTo(c), std::memory_order_release);
+            c->linked.store(true, std::memory_order_release);
+          }
+          return c;
+        }
+      }
+      at = ahead;
+      exact_mask = 0;
+    }
+  }
+
+  /// Links the next kSplitBatch cells of the newest segment, in index
+  /// order, so lookups stop paying for unlinked buckets (see kSplitEvery).
+  /// Linking a cell walks its parent's run.  The parents' cells are
+  /// contiguous but their nodes are not, so the batch first prefetches the
+  /// first node of every run it will walk: the misses overlap instead of
+  /// following one another.
+  void SplitAhead(size_t mask) {
+    if (split_next_.load(std::memory_order_relaxed) > mask) return;
+    size_t first = split_next_.fetch_add(kSplitBatch, std::memory_order_relaxed);
+    if (first > mask) return;
+    size_t end = std::min(first + kSplitBatch, mask + 1);
+    for (size_t b = first; b < end; ++b) {
+      uintptr_t link = CellAt(Parent(b))->next.load(std::memory_order_acquire);
+      if (link != 0) {
+        __builtin_prefetch(reinterpret_cast<const void*>(link & ~kCellTag), 0,
+                           3);
+      }
+    }
+    for (size_t b = first; b < end; ++b) LinkBucket(b);
+  }
+
+  /// Adds the next segment of cells, doubling the bucket count.  The new
+  /// cells are zero bytes, i.e. unlinked: each joins the list with its
+  /// bucket's first insert.
+  void Grow() {
+    SpinLockGuard g(grow_mu_);
+    size_t buckets = mask_.load(std::memory_order_relaxed) + 1;
+    int bits = 63 - __builtin_clzll(buckets);
+    if (size_.load(std::memory_order_relaxed) <= buckets ||
+        bits >= kMaxBucketBits) {
+      return;
+    }
+    int s = bits - base_bits_ + 1;
+    blocks_[s] = TableBlock::Allocate(buckets * sizeof(Cell), /*zeroed=*/true);
+    segments_[s].store(reinterpret_cast<Cell*>(blocks_[s].p),
+                       std::memory_order_release);
+    mask_.store(2 * buckets - 1, std::memory_order_release);
+    split_next_.store(buckets, std::memory_order_relaxed);
+  }
+
+  /// Bump allocator; called with a cell latch held, guarded by its own
+  /// latch because different runs share the arena.  Chunks grow from
   /// kFirstChunkBytes doubling up to kChunkBytes, so small tables stay
   /// small while big tables converge to huge-page-backed 2 MB chunks.
   NodeHeader* AllocateNode() {
@@ -331,7 +655,7 @@ class HashTable {
     }
     char* p = chunks_.back().p + arena_used_;
     arena_used_ += node_bytes_;
-    return reinterpret_cast<NodeHeader*>(p);
+    return new (p) NodeHeader();
   }
 
   static constexpr size_t kFirstChunkBytes = 64 << 10;
@@ -340,10 +664,18 @@ class HashTable {
   uint32_t value_size_;
   bool two_version_;
   size_t node_bytes_;
-  TableBlock bucket_block_;
-  Bucket* buckets_ = nullptr;
-  size_t mask_;
-  std::atomic<size_t> size_{0};
+  int base_bits_;
+  /// Bucket count - 1; grows by doubling, published after its segment.
+  std::atomic<size_t> mask_{0};
+  /// segments_[s] holds the cells of segment s (nullptr until allocated).
+  std::atomic<Cell*> segments_[kMaxSegments] = {};
+  /// Bumped by every insert: kept off the line lookups read.
+  alignas(STAR_CACHELINE_SIZE) std::atomic<size_t> size_{0};
+  /// Next cell SplitAhead links (past the mask once all are linked).
+  std::atomic<size_t> split_next_{~size_t{0}};
+
+  SpinLock grow_mu_;
+  TableBlock blocks_[kMaxSegments] STAR_GUARDED_BY(grow_mu_);
 
   SpinLock arena_mu_;
   std::vector<TableBlock> chunks_ STAR_GUARDED_BY(arena_mu_);

@@ -94,6 +94,63 @@ TEST(StarEngine, PZeroRunsPartitionedOnly) {
       << "P=0 sets tau_p=e, tau_s=0 (Section 4.3)";
 }
 
+// Stop() right after Start(), before the coordinator's first fence: the
+// coordinator may still run a phase and a fence on its way out, and every
+// worker must be there to answer it, so no node is written off and Stop
+// returns without waiting out a fence timeout.
+TEST(StarEngine, StopRightAfterStart) {
+  YcsbWorkload wl(SmallYcsb());
+  StarOptions o = FastStar();
+  for (int i = 0; i < 20; ++i) {
+    StarEngine engine(o, wl);
+    engine.Start();
+    uint64_t t0 = NowNanos();
+    engine.Stop();
+    double ms = static_cast<double>(NowNanos() - t0) / 1e6;
+    EXPECT_LT(ms, o.fence_timeout_ms / 3) << "iteration " << i;
+    for (int n = 0; n < o.cluster.nodes(); ++n) {
+      EXPECT_TRUE(engine.IsNodeHealthy(n))
+          << "iteration " << i << ": node " << n << " written off";
+    }
+  }
+}
+
+// A node's phase word bumped to kStopped (here a self-park) right before a
+// fence: the fence must move the word past the bumped sequence number, or
+// the workers, already parked on it, never park again for the fence and the
+// node misses it.  Long partitioned phases (P = 0) put the park between a
+// phase start and its fence.
+TEST(StarEngine, FenceAfterSelfParkIsAnswered) {
+  YcsbWorkload wl(SmallYcsb());
+  StarOptions o = FastStar();
+  o.cross_fraction = 0;
+  o.iteration_ms = 600;
+  StarEngine engine(o, wl);
+  engine.Start();
+  uint64_t deadline = NowNanos() + MillisToNanos(10000);
+  uint64_t f0 = engine.fence_count();
+  while (engine.fence_count() == f0 && NowNanos() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(engine.fence_count(), f0) << "no fence completed";
+  // The next phase start is handled within milliseconds; its fence follows
+  // ~600 ms later.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  engine.SelfParkNode(1);
+  const uint64_t f1 = engine.fence_count();
+  const uint64_t t0 = NowNanos();
+  deadline = t0 + MillisToNanos(2 * o.iteration_ms + o.fence_timeout_ms);
+  while (engine.fence_count() < f1 + 2 && NowNanos() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  double ms = static_cast<double>(NowNanos() - t0) / 1e6;
+  EXPECT_GE(engine.fence_count(), f1 + 2);
+  EXPECT_LT(ms, 2 * o.iteration_ms + o.fence_timeout_ms / 2)
+      << "a fence waited out its timeout";
+  EXPECT_TRUE(engine.IsNodeHealthy(1)) << "the parked node was written off";
+  engine.Stop();
+}
+
 TEST(StarEngine, ReplicasConvergeAfterStop) {
   YcsbWorkload wl(SmallYcsb());
   StarOptions o = FastStar();

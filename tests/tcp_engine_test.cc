@@ -62,6 +62,25 @@ TEST(TcpEngine, CommitsAndConvergesOverLoopback) {
   EXPECT_GT(compared, 0);
 }
 
+// Stop() right after Start() over TCP: no node is written off and Stop
+// returns well inside a fence timeout (see StarEngine.StopRightAfterStart).
+TEST(TcpEngine, StopRightAfterStart) {
+  YcsbWorkload wl(SmallYcsb());
+  StarOptions o = TcpStar();
+  for (int i = 0; i < 20; ++i) {
+    StarEngine engine(o, wl);
+    engine.Start();
+    uint64_t t0 = NowNanos();
+    engine.Stop();
+    double ms = static_cast<double>(NowNanos() - t0) / 1e6;
+    EXPECT_LT(ms, o.fence_timeout_ms / 3) << "iteration " << i;
+    for (int n = 0; n < o.cluster.nodes(); ++n) {
+      EXPECT_TRUE(engine.IsNodeHealthy(n))
+          << "iteration " << i << ": node " << n << " written off";
+    }
+  }
+}
+
 TEST(TcpEngine, SurvivesInjectedFailureOverLoopback) {
   YcsbWorkload wl(SmallYcsb());
   StarOptions o = TcpStar();
