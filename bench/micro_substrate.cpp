@@ -426,8 +426,8 @@ void GrowthRow(const char* variant, const char* level, uint64_t fill,
 /// cost what sizing right would have.  The reference, and not the same
 /// table at 1x, because a 1x table sits in L2 and a 32x one does not, so
 /// even a right-sized table reads several times its 1x cost (the 32x/1x
-/// ratios are printed too).  A chained table that never grows reads ~6x
-/// (insert) and ~19x (Get) against the reference.  Below full scale the
+/// ratios are printed too).  A chained table that never grows reads 4-10x
+/// (insert) and 10-16x (Get) against the reference.  Below full scale the
 /// levels are too small to tell apart, so the gate reads not evaluable.
 void BenchGrowth() {
   constexpr double kGateRatio = 1.5;

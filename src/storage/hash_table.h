@@ -182,18 +182,17 @@ class HashTable {
     SpinLockGuard g(grow_mu_);
     blocks_[0] = TableBlock::Allocate(cap * sizeof(Cell));
     Cell* cells = reinterpret_cast<Cell*>(blocks_[0].p);
-    for (size_t i = 0; i < cap; ++i) new (&cells[i]) Cell();
     // Link every cell of segment 0 in split order, writing the cells in
     // index order: bucket b sits at list position j = `bits`-bit-reverse(b)
     // and links to the bucket at position j + 1.
     for (size_t b = 0; b < cap; ++b) {
+      Cell* c = new (&cells[b]) Cell();
       size_t j = ReverseBits(b) >> (64 - bits);
-      Cell& c = cells[b];
-      c.split = SplitHigh(b);
-      c.linked.store(true, std::memory_order_relaxed);
+      c->split = SplitHigh(b);
+      c->linked.store(true, std::memory_order_relaxed);
       if (j + 1 < cap) {
-        c.next.store(LinkTo(&cells[ReverseBits(j + 1) >> (64 - bits)]),
-                     std::memory_order_relaxed);
+        c->next.store(LinkTo(&cells[ReverseBits(j + 1) >> (64 - bits)]),
+                      std::memory_order_relaxed);
       }
     }
     segments_[0].store(cells, std::memory_order_release);
@@ -232,20 +231,19 @@ class HashTable {
     // Fast path: already present.
     size_t mask = 0;
     Cell* c = BucketCell(hash, &mask);
-    NodeHeader* n = Walk(c->next.load(std::memory_order_acquire), key, mask);
-    bool created = false;
-    Record* rec = nullptr;
-    if (n != nullptr) {
-      rec = RecordOf(n);
-    } else {
-      mask = mask_.load(std::memory_order_acquire);
-      rec = Insert(LinkBucket(hash & mask), key, ReverseBits(hash), mask,
-                   &created);
+    if (NodeHeader* n =
+            Walk(c->next.load(std::memory_order_acquire), key, mask)) {
+      if (inserted != nullptr) *inserted = false;
+      return RecordOf(n);
     }
+    mask = mask_.load(std::memory_order_acquire);
+    bool created = false;
+    Record* rec =
+        Insert(LinkBucket(hash & mask), key, ReverseBits(hash), mask, &created);
     if (inserted != nullptr) *inserted = created;
     if (created) {
       size_t rows = size_.fetch_add(1, std::memory_order_relaxed) + 1;
-      size_t mask = mask_.load(std::memory_order_acquire);
+      mask = mask_.load(std::memory_order_acquire);
       if (rows > mask + 1) {
         Grow();
       } else if (rows % kSplitEvery == 0) {
