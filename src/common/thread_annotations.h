@@ -106,6 +106,14 @@
 #define STAR_HOT_PATH
 #endif
 
+/// Keeps a function out of line (a compiler hint, not a contract): for the
+/// slow tail of a hot path, so the fast part stays small enough to inline.
+#if defined(__GNUC__) || defined(__clang__)
+#define STAR_NOINLINE __attribute__((noinline))
+#else
+#define STAR_NOINLINE
+#endif
+
 /// Cache line size the padding contracts assume.  64 bytes covers x86 and
 /// most aarch64 parts; over-aligning on exotic 128-byte-line hosts costs
 /// only memory.

@@ -122,15 +122,27 @@ inline uint64_t ReverseBits(uint64_t x) {
 /// arena-allocated nodes, the primary-index structure of Section 3 ("Tables
 /// in STAR are implemented as collections of hash tables").
 ///
-/// Layout: every node of the table sits on one singly linked list, sorted
-/// by its split key, the bit-reversed HashKey.  A bucket is a 16-byte cell
-/// on the same list, sorted at its bit-reversed index, so the nodes of
-/// bucket b (hash mod bucket count == b) are the run behind b's cell.
-/// Doubling the bucket count splits each bucket b into b and b + old count,
-/// whose nodes already lie in two runs behind b's cell: the new bucket only
-/// needs its cell spliced in between.  Cells live in a directory of doubling
-/// segments.  Segment 0 holds the buckets sized at construction, all on the
-/// list from the start; segment s >= 1 holds buckets [2^(k+s-1), 2^(k+s)).
+/// Layout: the nodes sit on singly linked lists sorted by their split key,
+/// the bit-reversed HashKey.  A bucket is a 16-byte cell on the same list,
+/// sorted at its bit-reversed index, so the nodes of bucket b (hash mod
+/// bucket count == b) are the run behind b's cell.  Doubling the bucket
+/// count splits each bucket b into b and b + old count, whose nodes already
+/// lie in two runs behind b's cell: the new bucket only needs its cell
+/// spliced in between.  Cells live in a directory of doubling segments.
+/// Segment 0 holds the 2^k buckets sized at construction; segment s >= 1
+/// holds buckets [2^(k+s-1), 2^(k+s)).  Each segment-0 cell heads the list
+/// of its bucket and of every bucket later split off it: the one
+/// split-ordered list of Shalev & Shavit cut at the segment-0 cells, whose
+/// links between one another no lookup would follow.
+///
+/// Every element starts with its link word: the next element's address,
+/// bit 0 set when that element is a cell, and in the top 16 bits its order
+/// tag, the 16 bits of its split key just below the top k (which pick its
+/// segment-0 list).  Elements on one list share those top k bits, so a
+/// walk compares tags and reads an element only when its tag ties with the
+/// key's or lies below it (then the walk must pass it).  An insert thus
+/// never reads the element it lands in front of, and linking a cell reads
+/// only the nodes that stay in front of it.
 ///
 /// Properties the engines rely on:
 ///  * Record pointers are stable for the table's lifetime (nodes are never
@@ -150,10 +162,11 @@ inline uint64_t ReverseBits(uint64_t x) {
 ///    Until a bucket's cell is linked, lookups start at its parent (the
 ///    index without its top bit), whose run covers the bucket's.  A cell is
 ///    spliced in by its bucket's first insert, or earlier by inserts that
-///    link the new segment in index order, two cells per insert (amortised
-///    in batches), so it is fully linked halfway to the next doubling.
-///  * ForEach walks the single list, so it visits every node that existed
-///    when it started exactly once, even while the table grows.
+///    link the new segment in index order, kSplitBatch cells every
+///    kSplitEvery inserts, so it is fully linked an eighth of the way to
+///    the next doubling.
+///  * ForEach walks the lists, so it visits every node that existed when it
+///    started exactly once, even while the table grows.
 ///  * Values are fixed-size byte arrays (`value_size`), with an optional
 ///    trailing backup slot of the same size for epoch revert (two-version
 ///    records, Section 4.5.2).
@@ -181,21 +194,12 @@ class HashTable {
     // Unpublished object; the guard exists for the analysis.
     SpinLockGuard g(grow_mu_);
     blocks_[0] = TableBlock::Allocate(cap * sizeof(Cell));
-    Cell* cells = reinterpret_cast<Cell*>(blocks_[0].p);
-    // Link every cell of segment 0 in split order, writing the cells in
-    // index order: bucket b sits at list position j = `bits`-bit-reverse(b)
-    // and links to the bucket at position j + 1.
+    cells0_ = reinterpret_cast<Cell*>(CheckAddress(blocks_[0]));
+    // Segment 0's cells head their (empty) lists from the start.
     for (size_t b = 0; b < cap; ++b) {
-      Cell* c = new (&cells[b]) Cell();
-      size_t j = ReverseBits(b) >> (64 - bits);
-      c->split = SplitHigh(b);
-      c->linked.store(true, std::memory_order_relaxed);
-      if (j + 1 < cap) {
-        c->next.store(LinkTo(&cells[ReverseBits(j + 1) >> (64 - bits)]),
-                      std::memory_order_relaxed);
-      }
+      new (&cells0_[b]) Cell();
+      cells0_[b].linked.store(true, std::memory_order_relaxed);
     }
-    segments_[0].store(cells, std::memory_order_release);
     mask_.store(cap - 1, std::memory_order_release);
     if (ordered) index_ = std::make_unique<OrderedIndex>();
   }
@@ -218,32 +222,37 @@ class HashTable {
   /// inserted.  A present node whose Record is marked absent is returned:
   /// absence is a visibility property, existence a storage property.
   STAR_HOT_PATH Record* Get(uint64_t key) const {
-    size_t mask = 0;
-    Cell* c = BucketCell(HashKey(key), &mask);
-    NodeHeader* n = Walk(c->next.load(std::memory_order_acquire), key, mask);
+    const uint64_t hash = HashKey(key);
+    uintptr_t link = BucketCell(hash)->next.load(std::memory_order_acquire);
+    // Most lookups hit the first element: the split key is only needed
+    // past it.
+    if (link != 0 && !IsCell(link) && NodeOf(link)->key == key) {
+      return RecordOf(NodeOf(link));
+    }
+    NodeHeader* n = Walk(link, key, ReverseBits(hash));
     return n != nullptr ? RecordOf(n) : nullptr;
   }
 
   /// Returns the record for `key`, creating an absent-marked record if the
   /// key is new.  `*inserted` reports whether a node was created.
   Record* GetOrInsert(uint64_t key, bool* inserted = nullptr) {
-    uint64_t hash = HashKey(key);
+    const uint64_t hash = HashKey(key);
+    const uint64_t split = ReverseBits(hash);
     // Fast path: already present.
-    size_t mask = 0;
-    Cell* c = BucketCell(hash, &mask);
-    if (NodeHeader* n =
-            Walk(c->next.load(std::memory_order_acquire), key, mask)) {
+    if (NodeHeader* n = Walk(
+            BucketCell(hash)->next.load(std::memory_order_acquire), key,
+            split)) {
       if (inserted != nullptr) *inserted = false;
       return RecordOf(n);
     }
-    mask = mask_.load(std::memory_order_acquire);
     bool created = false;
     Record* rec =
-        Insert(LinkBucket(hash & mask), key, ReverseBits(hash), mask, &created);
+        Insert(LinkBucket(hash & mask_.load(std::memory_order_acquire)), key,
+               split, &created);
     if (inserted != nullptr) *inserted = created;
     if (created) {
       size_t rows = size_.fetch_add(1, std::memory_order_relaxed) + 1;
-      mask = mask_.load(std::memory_order_acquire);
+      size_t mask = mask_.load(std::memory_order_acquire);
       if (rows > mask + 1) {
         Grow();
       } else if (rows % kSplitEvery == 0) {
@@ -304,15 +313,14 @@ class HashTable {
   }
 
   /// Stage 2: load the link behind the bucket's cell (the cell line should
-  /// be resident by now) and prefetch the element it points to.  The
-  /// returned cursor is opaque; nullptr means the list ends there.
+  /// be resident by now) and prefetch the element it points to, unless its
+  /// tag already places it past the key.  The returned cursor is opaque;
+  /// nullptr means the list ends there.
   STAR_HOT_PATH const void* LoadHead(uint64_t key) const {
-    size_t mask = 0;
-    uintptr_t link =
-        BucketCell(HashKey(key), &mask)->next.load(std::memory_order_acquire);
-    if (link != 0) {
-      __builtin_prefetch(reinterpret_cast<const void*>(link & ~kCellTag), 0,
-                         1);
+    const uint64_t hash = HashKey(key);
+    uintptr_t link = BucketCell(hash)->next.load(std::memory_order_acquire);
+    if (link != 0 && TagOfLink(link) <= TagOf(ReverseBits(hash))) {
+      __builtin_prefetch(NodeOf(link), 0, 1);
     }
     return reinterpret_cast<const void*>(link);
   }
@@ -322,32 +330,33 @@ class HashTable {
   /// taken before the table grew still finds every key that was present
   /// when it was taken: the list behind it only gains elements.
   STAR_HOT_PATH Row FindFrom(const void* cursor, uint64_t key) const {
-    NodeHeader* n =
-        Walk(reinterpret_cast<uintptr_t>(cursor), key, /*exact_mask=*/0);
+    NodeHeader* n = Walk(reinterpret_cast<uintptr_t>(cursor), key,
+                         ReverseBits(HashKey(key)));
     if (n == nullptr) return Row{};
     Record* rec = RecordOf(n);
     return Row{rec, const_cast<HashTable*>(this)->ValueOfRecord(rec),
                value_size_};
   }
 
-  /// Iterates every node in split order: fn(key, record, value_bytes).
-  /// Takes no latch; safe against concurrent inserts and growth (used by
-  /// the checkpointer, the snapshot and delta donors, checksums and epoch
-  /// revert).  Visits every node present when the walk started exactly
-  /// once; nodes inserted meanwhile may or may not be visited.
+  /// Iterates every node, list by list in split order: fn(key, record,
+  /// value_bytes).  Takes no latch; safe against concurrent inserts and
+  /// growth (used by the checkpointer, the snapshot and delta donors,
+  /// checksums and epoch revert).  Visits every node present when the walk
+  /// started exactly once; nodes inserted meanwhile may or may not be
+  /// visited.
   void ForEach(
       const std::function<void(uint64_t, Record*, char*)>& fn) {
-    uintptr_t link =
-        segments_[0].load(std::memory_order_acquire)->next.load(
-            std::memory_order_acquire);
-    while (link != 0) {
-      if (IsCell(link)) {
-        link = CellOf(link)->next.load(std::memory_order_acquire);
-        continue;
+    for (size_t b = 0; (b >> base_bits_) == 0; ++b) {
+      uintptr_t link = cells0_[b].next.load(std::memory_order_acquire);
+      while (link != 0) {
+        if (IsCell(link)) {
+          link = CellOf(link)->next.load(std::memory_order_acquire);
+          continue;
+        }
+        NodeHeader* n = NodeOf(link);
+        fn(n->key, RecordOf(n), ValueOf(n));
+        link = n->next.load(std::memory_order_acquire);
       }
-      NodeHeader* n = NodeOf(link);
-      fn(n->key, RecordOf(n), ValueOf(n));
-      link = n->next.load(std::memory_order_acquire);
     }
   }
 
@@ -363,10 +372,13 @@ class HashTable {
   OrderedIndex* index() const { return index_.get(); }
 
  private:
-  // Every element of the list starts with its link word: the address of
-  // the next element, with bit 0 set when that element is a cell.  Nodes
-  // and cells are 16-byte aligned, so bit 0 is free.
+  // Link word layout: bits 0-47 the next element's address (16-byte
+  // aligned, bit 0 set when it is a cell), bits 48-63 its order tag.
   static constexpr uintptr_t kCellTag = 1;
+  static constexpr int kTagShift = 48;
+  static constexpr uintptr_t kAddrMask =
+      ((uintptr_t{1} << kTagShift) - 1) & ~uintptr_t{15};
+  static_assert(sizeof(uintptr_t) == 8, "link words need 64-bit pointers");
 
   struct NodeHeader {
     std::atomic<uintptr_t> next{0};
@@ -390,27 +402,34 @@ class HashTable {
   static_assert(sizeof(NodeHeader) == 16, "node headers stay 16 bytes");
   static_assert(sizeof(Cell) == 16, "bucket cells stay 16 bytes");
 
-  /// Every kSplitEvery-th insert links a batch of kSplitBatch cells: two
-  /// per insert, so the newest segment is fully linked halfway to the next
-  /// doubling.
+  /// Every kSplitEvery-th insert links a batch of kSplitBatch cells: eight
+  /// per insert, so the newest segment is fully linked an eighth of the way
+  /// to the next doubling.  (A batch's walks overlap their misses; the
+  /// sooner a segment is linked, the fewer inserts climb to a parent.)
   static constexpr size_t kSplitEvery = 8;
-  static constexpr size_t kSplitBatch = 16;
+  static constexpr size_t kSplitBatch = 64;
+  static_assert(kSplitBatch <= 256, "SplitAhead indexes a batch in 8 bits");
   static constexpr int kMinBucketBits = 4;
   static constexpr int kMaxBucketBits = 32;
   static constexpr int kMaxSegments = kMaxBucketBits - kMinBucketBits + 1;
 
   static bool IsCell(uintptr_t link) { return (link & kCellTag) != 0; }
+  static uint64_t TagOfLink(uintptr_t link) { return link >> kTagShift; }
   static Cell* CellOf(uintptr_t link) {
-    return reinterpret_cast<Cell*>(link & ~kCellTag);
+    return reinterpret_cast<Cell*>(link & kAddrMask);
   }
   static NodeHeader* NodeOf(uintptr_t link) {
-    return reinterpret_cast<NodeHeader*>(link);
+    return reinterpret_cast<NodeHeader*>(link & kAddrMask);
   }
-  static uintptr_t LinkTo(Cell* c) {
-    return reinterpret_cast<uintptr_t>(c) | kCellTag;
+  static uintptr_t LinkTo(Cell* c, uint64_t tag) {
+    return reinterpret_cast<uintptr_t>(c) | kCellTag | (tag << kTagShift);
   }
-  static uintptr_t LinkTo(NodeHeader* n) {
-    return reinterpret_cast<uintptr_t>(n);
+  static uintptr_t LinkTo(NodeHeader* n, uint64_t tag) {
+    return reinterpret_cast<uintptr_t>(n) | (tag << kTagShift);
+  }
+  /// The 16 bits of `split` below its top base_bits_ (at most 32).
+  uint64_t TagOf(uint64_t split) const {
+    return (split << base_bits_) >> kTagShift;
   }
   static uint64_t SplitKeyOf(const NodeHeader* n) {
     return ReverseBits(HashKey(n->key));
@@ -423,6 +442,15 @@ class HashTable {
   static size_t Parent(size_t bucket) {
     return bucket & ~(size_t{1} << (63 - __builtin_clzll(bucket)));
   }
+  /// Link words keep addresses in 48 bits, which user-space addresses on
+  /// x86-64 and aarch64 Linux fit.
+  static char* CheckAddress(const TableBlock& block) {
+    if ((reinterpret_cast<uintptr_t>(block.p + block.bytes) >> kTagShift) !=
+        0) {
+      std::abort();
+    }
+    return block.p;
+  }
 
   static Record* RecordOf(NodeHeader* n) {
     return reinterpret_cast<Record*>(reinterpret_cast<char*>(n) +
@@ -434,9 +462,7 @@ class HashTable {
 
   /// The cell of bucket `b` (which must be below the bucket count).
   STAR_HOT_PATH Cell* CellAt(size_t b) const {
-    if ((b >> base_bits_) == 0) {
-      return segments_[0].load(std::memory_order_acquire) + b;
-    }
+    if ((b >> base_bits_) == 0) return cells0_ + b;
     int top = 63 - __builtin_clzll(b);
     return segments_[top - base_bits_ + 1].load(std::memory_order_acquire) +
            (b - (size_t{1} << top));
@@ -445,82 +471,68 @@ class HashTable {
   /// Bucket resolution: the cell of `hash`'s bucket, or of its nearest
   /// linked ancestor while the bucket's own cell is not on the list yet.
   /// Segment 0 is linked from the start, so the climb ends there at worst.
-  /// `*exact_mask` receives the mask the bucket was resolved under when the
-  /// cell is the bucket's own, else 0.
-  STAR_HOT_PATH Cell* BucketCell(uint64_t hash, size_t* exact_mask) const {
-    size_t mask = mask_.load(std::memory_order_acquire);
-    size_t b = hash & mask;
+  STAR_HOT_PATH Cell* BucketCell(uint64_t hash) const {
+    size_t b = hash & mask_.load(std::memory_order_acquire);
+    if ((b >> base_bits_) == 0) return cells0_ + b;
     Cell* c = CellAt(b);
-    *exact_mask = mask;
     while (!c->linked.load(std::memory_order_acquire)) {
-      *exact_mask = 0;
       b = Parent(b);
       c = CellAt(b);
     }
     return c;
   }
 
-  /// Walks the list from `link` to `key`'s node; nullptr once the walk
-  /// passes the key's split key.  Cells on the way either were split off in
-  /// front of that spot (walk on) or end the walk; see CellEndsRun for
-  /// `exact_mask`.
-  STAR_HOT_PATH NodeHeader* Walk(uintptr_t link, uint64_t key,
-                                 size_t exact_mask) const {
-    // Most lookups hit the first node: the split key is only needed past it.
-    if (link != 0 && !IsCell(link) && NodeOf(link)->key == key) {
-      return NodeOf(link);
-    }
-    const uint64_t split = ReverseBits(HashKey(key));
+  /// Walks the list from `link` to `key`'s node (split key `split`);
+  /// nullptr once the walk passes the key's spot or the list ends.  Cells
+  /// on the way were split off in front of that spot (walk on) or end the
+  /// walk.  Kept out of line so that Get, which hits the first element
+  /// most of the time, stays small enough to inline.
+  STAR_HOT_PATH STAR_NOINLINE NodeHeader* Walk(uintptr_t link, uint64_t key,
+                                               uint64_t split) const {
+    const uint64_t tag = TagOf(split);
     while (link != 0) {
+      const uint64_t t = TagOfLink(link);
+      if (t > tag) return nullptr;
       if (IsCell(link)) {
-        if (CellEndsRun(exact_mask)) return nullptr;
         const Cell* c = CellOf(link);
-        if (SplitKeyOf(c) > split) return nullptr;
+        if (t == tag && SplitKeyOf(c) > split) return nullptr;
         link = c->next.load(std::memory_order_acquire);
         continue;
       }
       NodeHeader* n = NodeOf(link);
       if (n->key == key) return n;
-      if (SplitKeyOf(n) > split) return nullptr;
+      if (t == tag && SplitKeyOf(n) > split) return nullptr;
       link = n->next.load(std::memory_order_acquire);
     }
     return nullptr;
   }
 
-  /// True when a walk that started at its key's own bucket cell under
-  /// `exact_mask` may stop at the next cell without reading its line: while
-  /// the mask is unchanged, a cell in front of the key's spot would be a
-  /// bucket split off the start bucket, and linking one needs a larger mask
-  /// first.  (The walk read the link to the cell with acquire, so a mask
-  /// grown before that cell was linked is visible here.)
-  STAR_HOT_PATH bool CellEndsRun(size_t exact_mask) const {
-    return exact_mask != 0 &&
-           mask_.load(std::memory_order_acquire) == exact_mask;
-  }
-
   /// Under `at`'s latch, finds the spot for an element with split key
-  /// `split` in the run behind `at`: `*pred` is the link word to write and
-  /// `*link` its value, the first element at or past `split` (a node equal
-  /// to it holds the same key, since HashKey is a bijection).  Cells sort in
-  /// front of nodes with the same split key.  Returns the cell to continue
-  /// from instead when a cell was split off in front of the spot: that
-  /// cell's latch owns it.  `exact_mask` as for Walk.
-  Cell* Seek(Cell* at, uint64_t split, bool for_node, size_t exact_mask,
+  /// `split` in the run behind `at`: `*pred` is the link word to
+  /// write and `*link` its value, the first element at or past `split` (a
+  /// node equal to it holds the same key, since HashKey is a bijection).
+  /// Cells sort in front of nodes with the same split key.  Returns the
+  /// cell to continue from instead when a cell was split off in front of
+  /// the spot: that cell's latch owns it.
+  Cell* Seek(Cell* at, uint64_t split, bool for_node,
              std::atomic<uintptr_t>** pred, uintptr_t* link) const
       STAR_REQUIRES(at->mu) {
+    const uint64_t tag = TagOf(split);
     *pred = &at->next;
     uintptr_t l = (*pred)->load(std::memory_order_relaxed);
     while (l != 0) {
+      const uint64_t t = TagOfLink(l);
+      if (t > tag) break;
       if (IsCell(l)) {
-        if (CellEndsRun(exact_mask)) break;
         Cell* c = CellOf(l);
-        uint64_t key = SplitKeyOf(c);
-        if (key < split || (for_node && key == split)) return c;
-        break;
+        if (t == tag) {
+          uint64_t key = SplitKeyOf(c);
+          if (key > split || (!for_node && key == split)) break;
+        }
+        return c;
       }
-      NodeHeader* n = NodeOf(l);
-      if (SplitKeyOf(n) >= split) break;
-      *pred = &n->next;
+      if (t == tag && SplitKeyOf(NodeOf(l)) >= split) break;
+      *pred = &NodeOf(l)->next;
       l = (*pred)->load(std::memory_order_relaxed);
     }
     *link = l;
@@ -528,18 +540,19 @@ class HashTable {
   }
 
   /// Inserts `key`'s node unless present, from the linked cell `at` in
-  /// front of its spot (its own bucket's cell under `exact_mask`).
-  Record* Insert(Cell* at, uint64_t key, uint64_t split, size_t exact_mask,
-                 bool* created) {
+  /// front of its spot.
+  Record* Insert(Cell* at, uint64_t key, uint64_t split, bool* created) {
+    const uint64_t tag = TagOf(split);
     for (;;) {
       Cell* ahead = nullptr;
       {
         SpinLockGuard g(at->mu);
         std::atomic<uintptr_t>* pred = nullptr;
         uintptr_t link = 0;
-        ahead = Seek(at, split, /*for_node=*/true, exact_mask, &pred, &link);
+        ahead = Seek(at, split, /*for_node=*/true, &pred, &link);
         if (ahead == nullptr) {
-          if (link != 0 && !IsCell(link) && NodeOf(link)->key == key) {
+          if (link != 0 && !IsCell(link) && TagOfLink(link) == tag &&
+              NodeOf(link)->key == key) {
             return RecordOf(NodeOf(link));  // another thread won the race
           }
           NodeHeader* n = AllocateNode();
@@ -552,13 +565,12 @@ class HashTable {
           // absent, so the ordering is unobservable, but this way a key
           // reachable by Get is always reachable by Scan.
           if (index_ != nullptr) index_->Insert(key, rec);
-          pred->store(LinkTo(n), std::memory_order_release);
+          pred->store(LinkTo(n, tag), std::memory_order_release);
           *created = true;
           return rec;
         }
       }
       at = ahead;
-      exact_mask = 0;
     }
   }
 
@@ -571,56 +583,111 @@ class HashTable {
     Cell* at = LinkBucket(Parent(b));
     const uint32_t high = SplitHigh(b);
     const uint64_t split = uint64_t{high} << 32;
-    // A bucket of the newest segment is its parent's first split: under an
-    // unchanged mask, any cell past the parent's nodes is `c` or beyond it.
-    const size_t mask = mask_.load(std::memory_order_acquire);
-    size_t exact_mask = b > (mask >> 1) ? mask : 0;
+    const uint64_t tag = TagOf(split);
     for (;;) {
       Cell* ahead = nullptr;
       {
         SpinLockGuard g(at->mu);
         std::atomic<uintptr_t>* pred = nullptr;
         uintptr_t link = 0;
-        ahead = Seek(at, split, /*for_node=*/false, exact_mask, &pred, &link);
+        ahead = Seek(at, split, /*for_node=*/false, &pred, &link);
         if (ahead == nullptr) {
-          if (link != LinkTo(c)) {  // else another thread linked it
+          if (link != LinkTo(c, tag)) {  // else another thread linked it
             c->split = high;
             c->next.store(link, std::memory_order_relaxed);
-            pred->store(LinkTo(c), std::memory_order_release);
+            pred->store(LinkTo(c, tag), std::memory_order_release);
             c->linked.store(true, std::memory_order_release);
           }
           return c;
         }
       }
       at = ahead;
-      exact_mask = 0;
     }
   }
 
   /// Links the next kSplitBatch cells of the newest segment, in index
   /// order, so lookups stop paying for unlinked buckets (see kSplitEvery).
-  /// Linking a cell walks its parent's run.  The parents' cells are
-  /// contiguous but their nodes are not, so the batch first prefetches the
-  /// first node of every run it will walk: the misses overlap instead of
-  /// following one another.
+  /// A new cell's spot lies behind the nodes of its parent's run that stay
+  /// in the parent.  The batch finds every spot without a latch, advancing
+  /// all walks one node per round with the next round's nodes prefetched,
+  /// so the misses of a round overlap; then it splices each cell under its
+  /// parent's latch if the spot is still what the walk saw.
   void SplitAhead(size_t mask) {
     if (split_next_.load(std::memory_order_relaxed) > mask) return;
-    size_t first = split_next_.fetch_add(kSplitBatch, std::memory_order_relaxed);
+    size_t first =
+        split_next_.fetch_add(kSplitBatch, std::memory_order_relaxed);
     if (first > mask) return;
-    size_t end = std::min(first + kSplitBatch, mask + 1);
-    for (size_t b = first; b < end; ++b) {
-      uintptr_t link = CellAt(Parent(b))->next.load(std::memory_order_acquire);
-      if (link != 0) {
-        __builtin_prefetch(reinterpret_cast<const void*>(link & ~kCellTag), 0,
-                           3);
+    const size_t n = std::min(kSplitBatch, mask + 1 - first);
+    const size_t half = (mask + 1) >> 1;
+    // The batch lies in the newest segment; its parents are contiguous but
+    // for segment boundaries, which fall on powers of two.
+    Cell* cells = CellAt(first);
+    Cell* parent[kSplitBatch];
+    std::atomic<uintptr_t>* pred[kSplitBatch];
+    uintptr_t link[kSplitBatch];
+    uint64_t split[kSplitBatch];
+    uint8_t walking[kSplitBatch];  // batch indexes whose walk goes on
+    size_t pending = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t p = first - half + i;
+      parent[i] =
+          i == 0 || (p & (p - 1)) == 0 ? CellAt(p) : parent[i - 1] + 1;
+      split[i] = uint64_t{SplitHigh(first + i)} << 32;
+      pred[i] = &parent[i]->next;
+      link[i] = pred[i]->load(std::memory_order_acquire);
+      if (Passes(link[i], split[i])) {
+        walking[pending++] = static_cast<uint8_t>(i);
       }
     }
-    for (size_t b = first; b < end; ++b) LinkBucket(b);
+    while (pending != 0) {
+      size_t still = 0;
+      for (size_t w = 0; w < pending; ++w) {
+        const size_t i = walking[w];
+        pred[i] = &NodeOf(link[i])->next;
+        link[i] = pred[i]->load(std::memory_order_acquire);
+        if (Passes(link[i], split[i])) {
+          walking[still++] = static_cast<uint8_t>(i);
+        }
+      }
+      pending = still;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      Cell* c = &cells[i];
+      {
+        SpinLockGuard g(parent[i]->mu);
+        if (c->linked.load(std::memory_order_relaxed)) continue;
+        // Under an unchanged mask no cell is split off the parent in front
+        // of the spot, so an unchanged link word means an unchanged spot.
+        if (parent[i]->linked.load(std::memory_order_acquire) &&
+            mask_.load(std::memory_order_acquire) == mask &&
+            pred[i]->load(std::memory_order_relaxed) == link[i]) {
+          c->split = static_cast<uint32_t>(split[i] >> 32);
+          c->next.store(link[i], std::memory_order_relaxed);
+          pred[i]->store(LinkTo(c, TagOf(split[i])),
+                         std::memory_order_release);
+          c->linked.store(true, std::memory_order_release);
+          continue;
+        }
+      }
+      LinkBucket(first + i);
+    }
+  }
+
+  /// SplitAhead's step: whether a walk to split key `split` must pass the
+  /// element at `link` (then prefetched here for the next round).
+  bool Passes(uintptr_t link, uint64_t split) const {
+    if (link == 0 || IsCell(link)) return false;
+    const uint64_t t = TagOfLink(link);
+    const uint64_t tag = TagOf(split);
+    if (t > tag) return false;
+    if (t == tag && SplitKeyOf(NodeOf(link)) >= split) return false;
+    __builtin_prefetch(NodeOf(link), 0, 3);
+    return true;
   }
 
   /// Adds the next segment of cells, doubling the bucket count.  The new
   /// cells are zero bytes, i.e. unlinked: each joins the list with its
-  /// bucket's first insert.
+  /// bucket's first insert or with SplitAhead.
   void Grow() {
     SpinLockGuard g(grow_mu_);
     size_t buckets = mask_.load(std::memory_order_relaxed) + 1;
@@ -631,7 +698,7 @@ class HashTable {
     }
     int s = bits - base_bits_ + 1;
     blocks_[s] = TableBlock::Allocate(buckets * sizeof(Cell), /*zeroed=*/true);
-    segments_[s].store(reinterpret_cast<Cell*>(blocks_[s].p),
+    segments_[s].store(reinterpret_cast<Cell*>(CheckAddress(blocks_[s])),
                        std::memory_order_release);
     mask_.store(2 * buckets - 1, std::memory_order_release);
     split_next_.store(buckets, std::memory_order_relaxed);
@@ -649,6 +716,7 @@ class HashTable {
       if (want > kChunkBytes) want = kChunkBytes;
       if (want < node_bytes_) want = node_bytes_;
       chunks_.push_back(TableBlock::Allocate(want));
+      CheckAddress(chunks_.back());
       arena_used_ = 0;
     }
     char* p = chunks_.back().p + arena_used_;
@@ -663,9 +731,12 @@ class HashTable {
   bool two_version_;
   size_t node_bytes_;
   int base_bits_;
+  /// Segment 0's cells; written once by the constructor.
+  Cell* cells0_ = nullptr;
   /// Bucket count - 1; grows by doubling, published after its segment.
   std::atomic<size_t> mask_{0};
-  /// segments_[s] holds the cells of segment s (nullptr until allocated).
+  /// segments_[s] holds the cells of segment s >= 1 (nullptr until
+  /// allocated).
   std::atomic<Cell*> segments_[kMaxSegments] = {};
   /// Bumped by every insert: kept off the line lookups read.
   alignas(STAR_CACHELINE_SIZE) std::atomic<size_t> size_{0};

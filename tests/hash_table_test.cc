@@ -189,6 +189,46 @@ TEST(HashTable, ForEachDuringGrowthVisitsEveryOldKeyExactlyOnce) {
   EXPECT_EQ(all, kOld + kNew);
 }
 
+// Keys whose hashes agree in their low 20 bits share a list and an order
+// tag in a table of 16 sized buckets (4 bucket bits + 16 tag bits), so
+// walks must read such elements and compare whole split keys.  Groups of
+// them, inserted among other keys through many doublings, stay distinct.
+TEST(HashTable, KeysWithEqualOrderTagsStayDistinct) {
+  std::vector<std::pair<uint64_t, uint64_t>> by_low;
+  for (uint64_t k = 0; k < (1u << 18); ++k) {
+    by_low.emplace_back(HashKey(k) & ((1u << 20) - 1), k);
+  }
+  std::sort(by_low.begin(), by_low.end());
+  std::vector<uint64_t> ties;
+  for (size_t i = 0; i + 2 < by_low.size() && ties.size() < 600;) {
+    size_t j = i;
+    while (j < by_low.size() && by_low[j].first == by_low[i].first) ++j;
+    if (j - i >= 3) {
+      for (size_t t = i; t < j; ++t) ties.push_back(by_low[t].second);
+    }
+    i = j;
+  }
+  ASSERT_GE(ties.size(), 300u);
+  std::shuffle(ties.begin(), ties.end(), std::mt19937_64(3));
+
+  HashTable ht(8, 0, false);
+  ASSERT_EQ(ht.bucket_count(), 16u);
+  std::vector<Record*> recs;
+  uint64_t other = 1u << 18;
+  for (uint64_t k : ties) {
+    recs.push_back(ht.GetOrInsert(k));
+    for (int i = 0; i < 100; ++i) ht.GetOrInsert(other++);
+  }
+  ASSERT_GE(ht.bucket_count(), 16u << 10) << "grew through doublings";
+  for (size_t i = 0; i < ties.size(); ++i) {
+    bool inserted = true;
+    EXPECT_EQ(ht.GetOrInsert(ties[i], &inserted), recs[i]) << ties[i];
+    EXPECT_FALSE(inserted) << ties[i];
+    EXPECT_EQ(ht.Get(ties[i]), recs[i]) << ties[i];
+  }
+  EXPECT_EQ(ht.size(), ties.size() + (other - (1u << 18)));
+}
+
 // The replay pipeline's cursors: a LoadHead cursor taken before a doubling
 // still finds every key present when it was taken; for a key inserted
 // after, it may miss, and GetOrInsertRow then resolves the existing record.
